@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff examples lint-log live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff bench-smoke examples lint-log live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -110,6 +110,21 @@ bench:
 
 bench-diff:
 	$(GO) run ./cmd/benchfmt -diff -dir .
+
+# The end-to-end benchmark gate (qosperf, see BENCHMARK.json): its own
+# unit tests, then a 5-second untraced live-churn run — processes
+# registering, violating and exiting beside policy pushes over loopback
+# TCP. The run's last line must report every output correct and no
+# failed operation; the timing numbers themselves are not gated here.
+bench-smoke:
+	cd qosperf && $(GO) test ./...
+	@last=$$(bash qosperf/run.sh --workload live-churn --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+	echo "$$last"; \
+	if ! echo "$$last" | grep -Eq '"correct": ?true' || ! echo "$$last" | grep -Eq '"failed": ?0[,}]'; then \
+		echo "bench-smoke: live-churn run not correct or has failed operations"; \
+		exit 1; \
+	fi
+	@echo "bench-smoke: ok"
 
 clean:
 	$(GO) clean ./...

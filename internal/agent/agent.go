@@ -18,9 +18,19 @@
 // delta is re-delivered to the already-registered processes it affects,
 // which is what makes a rollout *live* rather than
 // visible-at-next-restart.
+//
+// The roster of registrants holds reachable processes only: a
+// re-delivery the transport fails with msg.ErrNoRoute (the process
+// exited and its connection closed) drops the registrant until it
+// registers again, while retryable failures keep it. Each delta
+// resolves every distinct (canary cohort, role) view once, so its cost
+// follows the live processes and their roles, not every process the
+// agent has ever served.
 package agent
 
 import (
+	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -44,9 +54,14 @@ type exeCache struct {
 	canaryHosts map[string]bool
 }
 
+// inCanary reports whether a process on host runs the canary overlay.
+func (c *exeCache) inCanary(host string) bool {
+	return c.canary != nil && c.canaryHosts[host]
+}
+
 // specsFor returns the policy view a process on host should run.
 func (c *exeCache) specsFor(host string) []msg.PolicySpec {
-	if c.canary != nil && c.canaryHosts[host] {
+	if c.inCanary(host) {
 		return c.canary
 	}
 	return c.baseline
@@ -72,7 +87,7 @@ type PolicyAgent struct {
 	svc  *repository.Service
 	send Send
 
-	roster map[string]msg.Register // registrant address -> registration
+	roster map[string]msg.Register // reachable registrant address -> registration
 	order  []string                // registrant addresses, sorted
 	cache  map[string]*exeCache    // executable -> cached policy view
 
@@ -187,8 +202,10 @@ func (a *PolicyAgent) handleRegister(from string, reg msg.Register) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, known := a.roster[from]; !known {
-		a.order = append(a.order, from)
-		sort.Strings(a.order)
+		i := sort.SearchStrings(a.order, from)
+		a.order = append(a.order, "")
+		copy(a.order[i+1:], a.order[i:])
+		a.order[i] = from
 	}
 	a.roster[from] = reg
 
@@ -349,7 +366,18 @@ func (a *PolicyAgent) handleDelta(trace telemetry.TraceContext, d msg.PolicyDelt
 	// it (shadowing same-name specs), so a canary reaches role-bound
 	// cohort processes too — unless a role binding shadows the pushed
 	// policy itself, in which case the shadow wins, exactly as it would
-	// after promotion.
+	// after promotion. The overlaid view depends only on cohort
+	// membership and role, so each distinct pair is resolved once per
+	// delta; the memo dies with the call, so a role binding edited
+	// between pushes is picked up by the next one.
+	//
+	// A registrant the transport has no route to (its process exited
+	// and its connection closed) is dropped from the roster: it cannot
+	// be reached until it registers again, which re-adds it. Retryable
+	// failures (a dial refused while a peer restarts, a lost connection)
+	// keep it.
+	views := make(map[roleView][]msg.PolicySpec)
+	var gone []string
 	for _, addr := range a.order {
 		reg := a.roster[addr]
 		if reg.ID.Executable != d.Executable {
@@ -358,40 +386,70 @@ func (a *PolicyAgent) handleDelta(trace telemetry.TraceContext, d msg.PolicyDelt
 		if d.Scope == "canary" && !ce.canaryHosts[reg.ID.Host] {
 			continue
 		}
-		specs, err := a.viewFor(ce, reg.ID)
-		if err != nil {
-			// The registrant keeps its current policy set; the failure
-			// is counted like a failed registration lookup.
-			a.Failures++
-			if a.mFailures != nil {
-				a.mFailures.Inc()
+		specs := ce.specsFor(reg.ID.Host)
+		if reg.ID.UserRole != "" {
+			key := roleView{canary: ce.inCanary(reg.ID.Host), role: reg.ID.UserRole}
+			view, ok := views[key]
+			if !ok {
+				var err error
+				if view, err = a.viewFor(ce, reg.ID); err != nil {
+					// The registrant keeps its current policy set; the
+					// failure is counted like a failed registration
+					// lookup.
+					a.Failures++
+					if a.mFailures != nil {
+						a.mFailures.Inc()
+					}
+					continue
+				}
+				views[key] = view
 			}
-			continue
+			specs = view
 		}
-		_ = a.send(addr, msg.Message{
+		err := a.send(addr, msg.Message{
 			From:  a.addr,
 			Trace: trace,
 			Body: msg.PolicySet{ID: reg.ID,
 				Policies: filterBySensors(specs, reg.Sensors)},
 		})
+		if err != nil {
+			var se *msg.SendError
+			if errors.As(err, &se) && se.Kind == msg.ErrNoRoute {
+				gone = append(gone, addr)
+			}
+		}
+	}
+	if len(gone) > 0 {
+		for _, addr := range gone {
+			delete(a.roster, addr)
+		}
+		a.order = slices.DeleteFunc(a.order, func(addr string) bool {
+			_, reachable := a.roster[addr]
+			return !reachable
+		})
 	}
 }
 
-// viewFor computes the effective policy view for one identity from a
-// cache entry: the cached any-role view (canary overlay for cohort
-// hosts, baseline otherwise), with the identity's role-specific
-// repository bindings overlaid on top. For identities without a role
-// this is the cache view itself and cannot fail.
+// roleView keys the per-delta memo of overlaid views: whether the
+// registrant's host is in the active canary cohort, and its user role
+// (the exact string; RolePoliciesFor matches roles case-insensitively,
+// so differently cased spellings of one role just resolve separately).
+type roleView struct {
+	canary bool
+	role   string
+}
+
+// viewFor computes the effective policy view for a role-bound identity
+// from a cache entry: the cached any-role view (canary overlay for
+// cohort hosts, baseline otherwise), with the identity's role-specific
+// repository bindings overlaid on top. Identities without a role run
+// the cache view itself (exeCache.specsFor).
 func (a *PolicyAgent) viewFor(ce *exeCache, id msg.Identity) ([]msg.PolicySpec, error) {
-	base := ce.specsFor(id.Host)
-	if id.UserRole == "" {
-		return base, nil
-	}
 	roleSpecs, err := a.svc.RolePoliciesFor(id)
 	if err != nil {
 		return nil, err
 	}
-	return overlayRole(base, roleSpecs), nil
+	return overlayRole(ce.specsFor(id.Host), roleSpecs), nil
 }
 
 // overlayRole merges role-specific bindings over the any-role view:

@@ -2,6 +2,9 @@ package agent
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -518,4 +521,184 @@ func TestAgentPointerBody(t *testing.T) {
 	if len(*sent) != 1 {
 		t.Fatalf("pointer-body register not handled")
 	}
+}
+
+// TestAgentPrunesNoRouteRegistrants: a re-delivery the transport fails
+// with ErrNoRoute drops the registrant (its process is gone), so the
+// next delta does not send to it; retryable failures keep theirs; and a
+// pruned address that registers again rejoins the roster.
+func TestAgentPrunesNoRouteRegistrants(t *testing.T) {
+	_, svc, _, _ := newAgentSvc(t, nil)
+	fail := map[string]error{}
+	var to []string
+	a := New("/agent", svc, func(addr string, m msg.Message) error {
+		to = append(to, addr)
+		return fail[addr]
+	})
+	sensors := []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}
+	ids := map[string]msg.Identity{}
+	for pid, name := range []string{"exited", "crashed", "lost", "steady"} {
+		id := msg.Identity{Host: "h-" + name, PID: pid + 1, Executable: "mpeg_play", Application: "VideoApplication"}
+		ids[name] = id
+		a.HandleMessage(register(id, sensors...))
+	}
+	addr := func(name string) string { return ids[name].Address() + "/qosl_coordinator" }
+	fail[addr("exited")] = &msg.SendError{To: addr("exited"), Kind: msg.ErrNoRoute}
+	fail[addr("crashed")] = &msg.SendError{To: addr("crashed"), Kind: msg.ErrDialFailed, Err: errors.New("crashed")}
+	fail[addr("lost")] = fmt.Errorf("wrapped: %w", &msg.SendError{To: addr("lost"), Kind: msg.ErrConnLost})
+
+	to = nil
+	a.HandleMessage(delta(1, 0, "fleet", nil, tightSpec()))
+	if len(to) != 4 {
+		t.Fatalf("first delta went to %v, want all 4 registrants", to)
+	}
+
+	to = nil
+	a.HandleMessage(delta(2, 1, "fleet", nil, tightSpec()))
+	want := []string{addr("crashed"), addr("lost"), addr("steady")}
+	sort.Strings(want)
+	if fmt.Sprint(to) != fmt.Sprint(want) {
+		t.Fatalf("second delta went to %v, want %v (no-route registrant pruned, retryable kept)", to, want)
+	}
+
+	// The process comes back under the same address: it is answered
+	// and rejoins the roster for the next delta.
+	delete(fail, addr("exited"))
+	to = nil
+	a.HandleMessage(register(ids["exited"], sensors...))
+	if len(to) != 1 || to[0] != addr("exited") {
+		t.Fatalf("re-registration answered to %v", to)
+	}
+	to = nil
+	a.HandleMessage(delta(3, 2, "fleet", nil, tightSpec()))
+	want = append(want, addr("exited"))
+	sort.Strings(want)
+	if fmt.Sprint(to) != fmt.Sprint(want) {
+		t.Fatalf("delta after re-registration went to %v, want %v", to, want)
+	}
+}
+
+// countingStore counts searches of the policy container — the walk
+// RolePoliciesFor and PoliciesFor each start with.
+type countingStore struct {
+	repository.Store
+	policySearches *int
+}
+
+func (s countingStore) Search(base repository.DN, sc repository.Scope, f repository.Filter) ([]*repository.Entry, error) {
+	if base == repository.DN("ou=policies,"+string(repository.BaseDN)) {
+		*s.policySearches++
+	}
+	return s.Store.Search(base, sc, f)
+}
+
+// TestAgentDeltaResolvesEachRoleOnce: however many registrants share a
+// role, one delta walks the repository once for that role's bindings.
+func TestAgentDeltaResolvesEachRoleOnce(t *testing.T) {
+	searches := 0
+	a, _, sent, _ := newAgentSvc(t, func(s repository.Store) repository.Store {
+		return countingStore{Store: s, policySearches: &searches}
+	})
+	const n = 40
+	for i := 0; i < n; i++ {
+		id := msg.Identity{Host: fmt.Sprintf("h-%d", i%8), PID: i + 1,
+			Executable: "mpeg_play", Application: "VideoApplication"}
+		if i%2 == 0 {
+			id.UserRole = "viewer"
+		}
+		a.HandleMessage(register(id))
+	}
+	a.HandleMessage(delta(1, 0, "fleet", nil, tightSpec())) // seeds the cache
+
+	for _, step := range []struct {
+		name      string
+		delta     msg.Message
+		delivered int
+	}{
+		{"fleet", delta(2, 1, "fleet", nil, tightSpec()), n},
+		{"canary", delta(3, 2, "canary", []string{"h-0", "h-1"}, tightSpec()), n / 4},
+		{"rollback", delta(4, 3, "rollback", nil, tightSpec()), n},
+	} {
+		searches, *sent = 0, nil
+		a.HandleMessage(step.delta)
+		if len(*sent) != step.delivered {
+			t.Fatalf("%s delta re-delivered %d, want %d", step.name, len(*sent), step.delivered)
+		}
+		if searches != 1 {
+			t.Errorf("%s delta walked the policies %d times for %d viewer registrants, want 1",
+				step.name, searches, step.delivered/2)
+		}
+	}
+}
+
+// TestAgentRedeliveryMatchesRepository: across fleet and canary deltas,
+// every re-delivered policy set is exactly what the repository resolves
+// for that identity — role shadows, role-only additions and
+// case-insensitive role matching included — when the delta carries the
+// repository's any-role truth.
+func TestAgentRedeliveryMatchesRepository(t *testing.T) {
+	a, svc, sent, _ := newAgentSvc(t, nil)
+	store := func(src, role string) {
+		t.Helper()
+		p, err := policy.ParseOne(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.StorePolicy(p, repository.PolicyMeta{
+			Application: "VideoApplication", Executable: "mpeg_play", UserRole: role}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store(rolePolicy, "physician")
+	store(strings.Replace(rolePolicy, "NotifyQoSViolation", "PhysicianOnly", 1), "physician")
+
+	roles := []string{"", "viewer", "physician", "Physician"}
+	for i := 0; i < 24; i++ {
+		a.HandleMessage(register(msg.Identity{Host: fmt.Sprintf("h-%d", i%6), PID: i + 1,
+			Executable: "mpeg_play", Application: "VideoApplication", UserRole: roles[i%len(roles)]}))
+	}
+	*sent = nil
+	truth := func() []msg.PolicySpec {
+		t.Helper()
+		specs, err := svc.PoliciesFor(msg.Identity{Executable: "mpeg_play"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return specs
+	}
+	check := func(step string, want int) {
+		t.Helper()
+		if len(*sent) != want {
+			t.Fatalf("%s: re-delivered %d, want %d", step, len(*sent), want)
+		}
+		for _, m := range *sent {
+			ps := m.Body.(msg.PolicySet)
+			exp, err := svc.PoliciesFor(ps.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ps.Policies, exp) {
+				t.Fatalf("%s: %+v got %+v, repository resolves %+v", step, ps.ID, ps.Policies, exp)
+			}
+		}
+		*sent = nil
+	}
+
+	a.HandleMessage(delta(1, 0, "fleet", nil, truth()...))
+	check("fleet", 24)
+
+	// A canary that changes the shadowed policy and adds a new one: the
+	// repository is edited to what the cohort should run, so PoliciesFor
+	// gives the expected view for cohort registrants.
+	if err := svc.RemovePolicy("NotifyQoSViolation", repository.PolicyMeta{
+		Application: "VideoApplication", Executable: "mpeg_play"}); err != nil {
+		t.Fatal(err)
+	}
+	store(strings.Replace(videoPolicy, "jitter_rate < 1.25", "jitter_rate < 2.5", 1), "")
+	store(strings.Replace(videoPolicy, "NotifyQoSViolation", "CanaryExtra", 1), "")
+	a.HandleMessage(delta(2, 1, "canary", []string{"h-0", "h-3"}, truth()...))
+	check("canary", 8)
+
+	a.HandleMessage(delta(3, 2, "fleet", nil, truth()...))
+	check("promote", 24)
 }

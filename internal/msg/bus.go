@@ -1,7 +1,6 @@
 package msg
 
 import (
-	"fmt"
 	"time"
 
 	"softqos/internal/sim"
@@ -123,13 +122,14 @@ func (b *Bus) Unbind(addr string) {
 // Bound reports whether an address has a handler.
 func (b *Bus) Bound(addr string) bool { _, ok := b.handlers[addr]; return ok }
 
-// Send delivers m to addr after the transport latency. It returns an
-// error if the destination is not currently bound (so callers can detect
-// dead managers), but a destination that unbinds while the message is in
-// flight just drops it.
+// Send delivers m to addr after the transport latency. It returns a
+// *SendError of kind ErrNoRoute if the destination is not currently
+// bound (so callers can detect dead managers and departed processes
+// exactly as over TCP), but a destination that unbinds while the message
+// is in flight just drops it.
 func (b *Bus) Send(addr string, m Message) error {
 	if _, ok := b.handlers[addr]; !ok {
-		return fmt.Errorf("msg: no handler bound at %q", addr)
+		return &SendError{To: addr, Kind: ErrNoRoute}
 	}
 	if err := Validate(m); err != nil {
 		b.DroppedInvalid++

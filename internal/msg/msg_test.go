@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -102,11 +103,26 @@ func TestBusLocalVsRemoteLatency(t *testing.T) {
 	}
 }
 
+// TestBusSendToUnboundFails pins the failure kind too: a never-bound or
+// unbound address fails as a non-retryable ErrNoRoute, the same kind the
+// TCP transport reports for a peer whose connection has closed.
 func TestBusSendToUnboundFails(t *testing.T) {
 	s := sim.New(1)
 	b := NewBus(s, time.Microsecond, time.Millisecond)
-	if err := b.Send("/nobody", Message{Body: Ack{}}); err == nil {
-		t.Fatal("send to unbound address succeeded")
+	b.Bind("/gone", "h", func(Message) {})
+	b.Unbind("/gone")
+	for _, addr := range []string{"/nobody", "/gone"} {
+		err := b.Send(addr, Message{Body: Ack{}})
+		if err == nil {
+			t.Fatalf("send to unbound %s succeeded", addr)
+		}
+		var se *SendError
+		if !errors.As(err, &se) || se.Kind != ErrNoRoute || se.To != addr || se.Retryable() {
+			t.Errorf("send to %s: err = %v, want non-retryable %s", addr, err, ErrNoRoute)
+		}
+	}
+	if b.Sent != 0 {
+		t.Errorf("Sent = %d, want 0", b.Sent)
 	}
 }
 

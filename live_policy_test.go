@@ -337,3 +337,121 @@ func TestLivePolicyRollout(t *testing.T) {
 		t.Errorf("policyctl status output:\n%s", out)
 	}
 }
+
+// TestLivePolicyRolloutPrunesExited: the live agent stops pushing to
+// processes that have exited. Several coordinators register over TCP
+// and all but one close; the first push finds the closed ones
+// unreachable and drops them from the agent's roster, so the second push
+// costs no failed sends, while the survivor installs both versions.
+func TestLivePolicyRolloutPrunesExited(t *testing.T) {
+	dir := NewDirectory()
+	svc := NewRepositoryService(dir)
+	if err := svc.DefineApplication("VideoApplication", "mpeg_play"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.DefineExecutable("mpeg_play", map[string][]string{
+		"fps_sensor":    {"frame_rate"},
+		"jitter_sensor": {"jitter_rate"},
+		"buffer_sensor": {"buffer_size"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	meta := PolicyMeta{Application: "VideoApplication", Executable: "mpeg_play"}
+	if err := NewAdmin(svc).AddPolicy(Example1Policy, meta); err != nil {
+		t.Fatal(err)
+	}
+
+	agent, err := ServeLiveAgent("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	// The agent's transport gets a registry of its own, so
+	// msg.net.send_failed counts the agent's failed re-deliveries only.
+	agentReg := telemetry.NewRegistry(func() time.Duration { return 0 })
+	agent.SetTelemetry(agentReg)
+	sink, err := NewLiveCollector("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+
+	lps, err := ServeLivePolicy("127.0.0.1:0", dir, svc, RolloutConfig{
+		CanaryFraction: 1.0, Bake: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lps.Close()
+	lps.Watch(agent.Addr())
+	lps.SetHosts("live-host")
+	lps.Rollout().SetComplianceSource(func() []telemetry.PolicyCompliance { return nil })
+
+	const procs = 4
+	coords := make([]*LiveCoordinator, procs)
+	for i := range coords {
+		c := NewLiveCoordinator(Identity{Host: "live-host", PID: 1000 + i,
+			Executable: "mpeg_play", Application: "VideoApplication"}, agent.Addr(), sink.Addr())
+		defer c.Close()
+		c.AddSensor(NewValueSensor("fps_sensor", "frame_rate", nil))
+		c.AddSensor(NewValueSensor("jitter_sensor", "jitter_rate", nil))
+		c.AddSensor(NewValueSensor("buffer_sensor", "buffer_size", nil))
+		if err := c.Register(); err != nil {
+			t.Fatalf("register %d: %v", i, err)
+		}
+		coords[i] = c
+	}
+	survivor := coords[0]
+	for _, c := range coords[1:] {
+		c.Close()
+	}
+
+	jitterBound := func() float64 {
+		var bound float64
+		survivor.Sync(func() {
+			for _, s := range survivor.InstalledSpecs() {
+				for _, c := range s.Conditions {
+					if c.Attribute == "jitter_rate" {
+						bound = c.Value
+					}
+				}
+			}
+		})
+		return bound
+	}
+	sendFailed := func() uint64 { return agentReg.Counter("msg.net.send_failed").Value() }
+	// push rolls one version out (canary, then promotion once the
+	// nanosecond bake ends) and waits until the agent holds the promoted
+	// generation and the survivor runs the version.
+	push := func(bound string) {
+		t.Helper()
+		if _, err := lps.Rollout().Push(strings.Replace(Example1Policy,
+			"jitter_rate < 1.25", "jitter_rate < "+bound, 1), meta); err != nil {
+			t.Fatalf("push %s: %v", bound, err)
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		for {
+			st, _ := lps.Rollout().Status()
+			if st.State == repository.RolloutPromoted &&
+				agent.Generation("mpeg_play") == st.FleetGeneration &&
+				fmt.Sprint(jitterBound()) == bound {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("push %s: status %+v, agent generation %d, survivor jitter bound %v",
+					bound, st, agent.Generation("mpeg_play"), jitterBound())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	push("1.3")
+	afterFirst := sendFailed()
+	push("1.35")
+	if grown := sendFailed() - afterFirst; grown != 0 {
+		t.Errorf("second push failed %d more agent sends; exited processes were not pruned", grown)
+	}
+	if afterFirst > procs-1 {
+		t.Errorf("first push failed %d agent sends, want at most one per exited process (%d)",
+			afterFirst, procs-1)
+	}
+}
