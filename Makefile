@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-diff bench-smoke examples lint-log live-smoke trace-smoke fleet-smoke policy-smoke soak clean
+.PHONY: all build vet test race check bench bench-diff bench-smoke fuzz-smoke examples lint-log live-smoke trace-smoke fleet-smoke policy-smoke soak clean
 
 all: check
 
@@ -125,6 +125,20 @@ bench-smoke:
 		exit 1; \
 	fi
 	@echo "bench-smoke: ok"
+
+# The wire-decoder fuzz gate: UnmarshalWire is the only parser of bytes
+# read off a management socket, so each msg fuzz target runs for
+# FUZZTIME on top of its seed corpus. A crash writes the failing input
+# under internal/msg/testdata/fuzz/ and fails the target.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = FuzzUnmarshal FuzzBinaryTruncation FuzzPolicyDelta FuzzCodecRoundTrip
+
+fuzz-smoke:
+	@for f in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $$f"; \
+		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=$(FUZZTIME) -parallel=2 ./internal/msg || exit 1; \
+	done
+	@echo "fuzz-smoke: ok"
 
 clean:
 	$(GO) clean ./...

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	qosbench -experiment all|fig3|overhead|locate|admin|settle|dynamic|trace|faults|wire|fleet
+//	qosbench -experiment all|fig3|overhead|locate|admin|settle|dynamic|trace|faults|slo|fleet
 //	         [-warmup 30s] [-measure 3m] [-seed 1]
 //
 // Output is aligned text; every table states the paper's reference values
@@ -56,11 +56,10 @@ func main() {
 		"trace":     traceExp,
 		"faults":    faultsExp,
 		"slo":       sloExp,
-		"wire":      wireExp,
 		"fleet":     fleetExp,
 	}
 	if *experiment == "all" {
-		for _, name := range []string{"fig3", "overhead", "locate", "admin", "settle", "dynamic", "overload", "proactive", "scale", "webapp", "trace", "faults", "slo", "wire", "fleet"} {
+		for _, name := range []string{"fig3", "overhead", "locate", "admin", "settle", "dynamic", "overload", "proactive", "scale", "webapp", "trace", "faults", "slo", "fleet"} {
 			run[name]()
 			fmt.Println()
 		}
@@ -495,55 +494,6 @@ func durMS(v float64) string {
 		return "-"
 	}
 	return time.Duration(v).Round(time.Millisecond).String()
-}
-
-// wireExp compares the two management-plane wire codecs frame by frame:
-// the JSON lines format every node speaks, and the negotiated binary
-// format (see docs/WIRE.md). The table shows what a binary-capable
-// deployment saves per message type on the paper's management traffic.
-func wireExp() {
-	fmt.Println("=== Wire codec: JSON lines vs negotiated binary framing ===")
-	fmt.Println("frame bytes per management message type (routed, trace-free);")
-	fmt.Println("mixed fleets negotiate down to JSON, so savings apply only")
-	fmt.Println("between binary-capable peers.")
-	fmt.Println()
-	id := msg.Identity{Host: "client-host", PID: 4321, Executable: "mpeg_play",
-		Application: "VideoApplication", UserRole: "viewer"}
-	cases := []struct {
-		name string
-		m    msg.Message
-	}{
-		{"register", msg.Message{From: "/client-host/app/mpeg_play/4321", Body: msg.Register{
-			ID: id, Sensors: []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}}}},
-		{"violation", msg.Message{From: "/client-host/app/mpeg_play/4321", Body: msg.Violation{
-			ID: id, Policy: "NotifyQoSViolation",
-			Readings: map[string]float64{"frame_rate": 14.5, "jitter_rate": 0.42, "buffer_size": 12}}}},
-		{"query", msg.Message{From: "/mgmt/QoSDomainManager", Body: msg.Query{
-			From: "/mgmt/QoSDomainManager", Keys: []string{"cpu_load", "mem_usage"}, Ref: "q17"}}},
-		{"report", msg.Message{From: "/server-host/QoSHostManager", Body: msg.Report{
-			Host: "server-host", Values: map[string]float64{"cpu_load": 3.7, "mem_usage": 0.61}, Ref: "q17"}}},
-		{"alarm", msg.Message{From: "/client-host/QoSHostManager", Body: msg.Alarm{
-			ID: id, Policy: "NotifyQoSViolation", Suspect: "remote",
-			Readings: map[string]float64{"frame_rate": 14.5}}}},
-		{"directive", msg.Message{From: "/mgmt/QoSDomainManager", Body: msg.Directive{
-			From: "/mgmt/QoSDomainManager", Action: "boost_cpu", Target: "mpeg_serv", Amount: 5}}},
-		{"ack", msg.Message{From: "/server-host/QoSHostManager", Body: msg.Ack{Ref: "boost_cpu", OK: true}}},
-		{"heartbeat", msg.Message{From: "/client-host/app/mpeg_play/4321", Body: msg.Heartbeat{ID: id, Seq: 93}}},
-	}
-	const to = "/client-host/QoSHostManager"
-	fmt.Printf("%-12s %12s %14s %8s\n", "type", "json bytes", "binary bytes", "ratio")
-	var jTotal, bTotal int
-	for _, tc := range cases {
-		jdata, err := msg.MarshalWire(msg.WireJSON, to, tc.m)
-		must(err)
-		bdata, err := msg.MarshalWire(msg.WireBinary, to, tc.m)
-		must(err)
-		jn, bn := len(jdata)+1, len(bdata) // JSON frames cost one newline on the wire
-		jTotal += jn
-		bTotal += bn
-		fmt.Printf("%-12s %12d %14d %7.2fx\n", tc.name, jn, bn, float64(jn)/float64(bn))
-	}
-	fmt.Printf("%-12s %12d %14d %7.2fx\n", "total", jTotal, bTotal, float64(jTotal)/float64(bTotal))
 }
 
 // fleetExp sweeps the three-tier fleet simulator across fleet sizes:

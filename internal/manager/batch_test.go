@@ -153,7 +153,7 @@ func TestCoalescerSeverityMergesToMax(t *testing.T) {
 // TestCoalescerZeroWindowIsByteIdenticalPassthrough is the degenerate
 // case the flat topology relies on: with no window, every Add forwards
 // the alarm as a plain msg.Alarm whose wire bytes equal the unbatched
-// protocol's — on both wire formats.
+// protocol's.
 func TestCoalescerZeroWindowIsByteIdenticalPassthrough(t *testing.T) {
 	var forwarded []msg.Message
 	c := NewAlarmCoalescer("domain", "/d", "/region",
@@ -188,18 +188,16 @@ func TestCoalescerZeroWindowIsByteIdenticalPassthrough(t *testing.T) {
 	for i, a := range alarms {
 		// The old per-alarm protocol: the manager sends the alarm itself.
 		want := msg.Message{From: "/d", Body: a}
-		for _, f := range []msg.WireFormat{msg.WireJSON, msg.WireBinary} {
-			wb, err := msg.MarshalWire(f, "/region", want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gb, err := msg.MarshalWire(f, "/region", forwarded[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wb, gb) {
-				t.Errorf("alarm %d format %v: passthrough bytes differ from unbatched protocol", i, f)
-			}
+		wb, err := msg.MarshalWire("/region", want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := msg.MarshalWire("/region", forwarded[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wb, gb) {
+			t.Errorf("alarm %d: passthrough bytes differ from unbatched protocol", i)
 		}
 	}
 }

@@ -200,13 +200,13 @@ func TestSummaryAggregatorCountersInRegistry(t *testing.T) {
 }
 
 // TestSummaryRoundTripThroughCodec: an exporter-shipped summary
-// round-trips the negotiated binary codec and merges into an aggregator
+// round-trips the wire codec and merges into an aggregator
 // with nothing lost — the full host→wire→domain path in miniature.
 func TestSummaryRoundTripThroughCodec(t *testing.T) {
 	s := sim.New(1)
 	var relayed []msg.TelemetrySummary
 	relay := func(to string, m msg.Message) error {
-		bin, err := msg.MarshalWire(msg.WireBinary, to, m)
+		bin, err := msg.MarshalWire(to, m)
 		if err != nil {
 			return err
 		}

@@ -76,117 +76,57 @@ func benchSummary() Message {
 		}}}
 }
 
-// BenchmarkSummaryEncode measures the telemetry-summary wire cost per
-// format — the per-host per-window overhead the federated collection
-// plane adds to the uplink.
+// BenchmarkSummaryEncode measures the telemetry-summary wire cost —
+// the per-host per-window overhead the federated collection plane adds
+// to the uplink. Sub-benchmark names keep their "binary/" prefix so
+// the BENCH_<n>.json trajectory stays comparable.
 func BenchmarkSummaryEncode(b *testing.B) {
 	m := benchSummary()
-	for _, f := range []struct {
-		name   string
-		format WireFormat
-	}{{"json", WireJSON}, {"binary", WireBinary}} {
-		data, err := MarshalWire(f.format, RegionAddrForBench, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(f.name+"/marshal", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				buf := getWireBuf()
-				out, err := appendWire(buf[:0], f.format, RegionAddrForBench, m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				putWireBuf(out)
-			}
-		})
-		b.Run(f.name+"/unmarshal", func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, _, err := UnmarshalWire(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	data, err := MarshalWire(RegionAddrForBench, m)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("binary/marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			buf := getWireBuf()
+			out, err := appendBinaryFrame(buf[:0], RegionAddrForBench, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			putWireBuf(out)
+		}
+	})
+	b.Run("binary/unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, _, err := UnmarshalWire(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // RegionAddrForBench mirrors scenario.RegionAddr without importing it
 // (internal/scenario imports msg; the reverse would cycle).
 const RegionAddrForBench = "/mgmt/QoSRegionManager"
 
-// BenchmarkCodecMarshal measures envelope encoding per message type and
-// wire format (the sender-side hot path of every transport).
+// The codec, bus and TCP benchmarks below keep a "binary" name segment
+// from when a second wire format existed: renaming them would leave
+// `benchfmt -diff` with no earlier rows to compare against.
+
+// BenchmarkCodecMarshal measures frame encoding per message type (the
+// sender-side hot path of every transport).
 func BenchmarkCodecMarshal(b *testing.B) {
-	for _, f := range []struct {
-		name   string
-		format WireFormat
-	}{{"json", WireJSON}, {"binary", WireBinary}} {
-		for _, tc := range benchMessages() {
-			b.Run(f.name+"/"+tc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					buf := getWireBuf()
-					data, err := appendWire(buf[:0], f.format, "/client-host/QoSHostManager", tc.m)
-					if err != nil {
-						b.Fatal(err)
-					}
-					putWireBuf(data)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCodecUnmarshal measures frame decoding per message type and
-// wire format (the receiver-side hot path).
-func BenchmarkCodecUnmarshal(b *testing.B) {
-	for _, f := range []struct {
-		name   string
-		format WireFormat
-	}{{"json", WireJSON}, {"binary", WireBinary}} {
-		for _, tc := range benchMessages() {
-			data, err := MarshalWire(f.format, "/client-host/QoSHostManager", tc.m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(f.name+"/"+tc.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := UnmarshalWire(data); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkCodecRoundTrip is the named hot-path gate benchmark: one
-// violation (the most common hot-path message) encoded and decoded, per
-// wire format. make bench-diff fails the build if its allocs/op regress.
-func BenchmarkCodecRoundTrip(b *testing.B) {
-	var viol Message
 	for _, tc := range benchMessages() {
-		if tc.name == "violation" {
-			viol = tc.m
-		}
-	}
-	for _, f := range []struct {
-		name   string
-		format WireFormat
-	}{{"json", WireJSON}, {"binary", WireBinary}} {
-		b.Run(f.name, func(b *testing.B) {
+		b.Run("binary/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf := getWireBuf()
-				data, err := appendWire(buf[:0], f.format, "/client-host/QoSHostManager", viol)
+				data, err := appendBinaryFrame(buf[:0], "/client-host/QoSHostManager", tc.m)
 				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := UnmarshalWire(data); err != nil {
 					b.Fatal(err)
 				}
 				putWireBuf(data)
@@ -195,89 +135,121 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkBusSend measures the sim transport's per-message cost with
-// metrics (and therefore byte accounting) attached — the configuration
-// every scenario run uses.
-func BenchmarkBusSend(b *testing.B) {
-	for _, f := range []struct {
-		name   string
-		format WireFormat
-	}{{"json", WireJSON}, {"binary", WireBinary}} {
-		b.Run(f.name, func(b *testing.B) {
-			s := sim.New(1)
-			bus := NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
-			bus.SetWireFormat(f.format)
-			reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-			bus.SetMetrics(reg)
-			bus.Bind("/mgr", "h", func(Message) {})
-			bus.Bind("/coord", "h", func(Message) {})
-			m := Message{From: "/coord", Body: Violation{
-				ID:       Identity{Host: "h", PID: 7, Executable: "mpeg_play"},
-				Policy:   "NotifyQoSViolation",
-				Readings: map[string]float64{"frame_rate": 14.5, "jitter_rate": 0.42, "buffer_size": 12}}}
+// BenchmarkCodecUnmarshal measures frame decoding per message type (the
+// receiver-side hot path).
+func BenchmarkCodecUnmarshal(b *testing.B) {
+	for _, tc := range benchMessages() {
+		data, err := MarshalWire("/client-host/QoSHostManager", tc.m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("binary/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := bus.Send("/mgr", m); err != nil {
+				if _, _, err := UnmarshalWire(data); err != nil {
 					b.Fatal(err)
 				}
-				if i%1024 == 0 {
-					s.Run()
-				}
 			}
-			s.Run()
 		})
 	}
 }
 
-// BenchmarkNetRoundTrip measures a full TCP request/reply between two
-// NetTransport nodes per wire configuration: a violation out, an ack
-// back. This is the live control loop's transport floor.
-func BenchmarkNetRoundTrip(b *testing.B) {
-	for _, f := range []struct {
-		name   string
-		format WireFormat
-	}{{"json", WireJSON}, {"binary", WireBinary}} {
-		b.Run(f.name, func(b *testing.B) {
-			mgr, err := NewNetTransport("mgr-host", "127.0.0.1:0")
+// BenchmarkCodecRoundTrip is the named hot-path gate benchmark: one
+// violation (the most common hot-path message) encoded and decoded.
+// make bench-diff fails the build if its allocs/op regress.
+func BenchmarkCodecRoundTrip(b *testing.B) {
+	var viol Message
+	for _, tc := range benchMessages() {
+		if tc.name == "violation" {
+			viol = tc.m
+		}
+	}
+	b.Run("binary", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf := getWireBuf()
+			data, err := appendBinaryFrame(buf[:0], "/client-host/QoSHostManager", viol)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer mgr.Close()
-			coord, err := NewNetTransport("coord-host", "127.0.0.1:0")
-			if err != nil {
+			if _, _, err := UnmarshalWire(data); err != nil {
 				b.Fatal(err)
 			}
-			defer coord.Close()
-			mgr.SetWireFormat(f.format)
-			coord.SetWireFormat(f.format)
+			putWireBuf(data)
+		}
+	})
+}
 
-			acks := make(chan struct{}, 1)
-			mgr.Bind("/h/QoSHostManager", "mgr-host", func(m Message) {
-				_ = mgr.Send(m.From, Message{From: "/h/QoSHostManager", Body: Ack{Ref: "v", OK: true}})
-			})
-			coord.Bind("/h/app/x/7", "coord-host", func(m Message) { acks <- struct{}{} })
-			coord.Route("/h/QoSHostManager", mgr.Addr())
-			mgr.Route("/h/app/x/7", coord.Addr())
-			viol := Message{From: "/h/app/x/7", Body: Violation{
-				ID:       Identity{Host: "h", PID: 7, Executable: "x"},
-				Policy:   "P",
-				Readings: map[string]float64{"frame_rate": 14.5, "jitter_rate": 0.42}}}
-			// Prime connections (and wire negotiation) outside the timer.
+// BenchmarkBusSend measures the sim transport's per-message cost with
+// metrics (and therefore byte accounting) attached — the configuration
+// every scenario run uses.
+func BenchmarkBusSend(b *testing.B) {
+	b.Run("binary", func(b *testing.B) {
+		s := sim.New(1)
+		bus := NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
+		reg := telemetry.NewRegistry(func() time.Duration { return 0 })
+		bus.SetMetrics(reg)
+		bus.Bind("/mgr", "h", func(Message) {})
+		bus.Bind("/coord", "h", func(Message) {})
+		m := Message{From: "/coord", Body: Violation{
+			ID:       Identity{Host: "h", PID: 7, Executable: "mpeg_play"},
+			Policy:   "NotifyQoSViolation",
+			Readings: map[string]float64{"frame_rate": 14.5, "jitter_rate": 0.42, "buffer_size": 12}}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := bus.Send("/mgr", m); err != nil {
+				b.Fatal(err)
+			}
+			if i%1024 == 0 {
+				s.Run()
+			}
+		}
+		s.Run()
+	})
+}
+
+// BenchmarkNetRoundTrip measures a full TCP request/reply between two
+// NetTransport nodes: a violation out, an ack back. This is the live
+// control loop's transport floor.
+func BenchmarkNetRoundTrip(b *testing.B) {
+	b.Run("binary", func(b *testing.B) {
+		mgr, err := NewNetTransport("mgr-host", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer mgr.Close()
+		coord, err := NewNetTransport("coord-host", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer coord.Close()
+
+		acks := make(chan struct{}, 1)
+		mgr.Bind("/h/QoSHostManager", "mgr-host", func(m Message) {
+			_ = mgr.Send(m.From, Message{From: "/h/QoSHostManager", Body: Ack{Ref: "v", OK: true}})
+		})
+		coord.Bind("/h/app/x/7", "coord-host", func(m Message) { acks <- struct{}{} })
+		coord.Route("/h/QoSHostManager", mgr.Addr())
+		mgr.Route("/h/app/x/7", coord.Addr())
+		viol := Message{From: "/h/app/x/7", Body: Violation{
+			ID:       Identity{Host: "h", PID: 7, Executable: "x"},
+			Policy:   "P",
+			Readings: map[string]float64{"frame_rate": 14.5, "jitter_rate": 0.42}}}
+		// Prime the connections outside the timer.
+		if err := coord.Send("/h/QoSHostManager", viol); err != nil {
+			b.Fatal(err)
+		}
+		<-acks
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := coord.Send("/h/QoSHostManager", viol); err != nil {
 				b.Fatal(err)
 			}
 			<-acks
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := coord.Send("/h/QoSHostManager", viol); err != nil {
-					b.Fatal(err)
-				}
-				<-acks
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkValidate pins the per-message validation cost paid on every

@@ -7,9 +7,10 @@ import (
 	"softqos/internal/telemetry"
 )
 
-// typeTags lists every message body tag, for pre-registering per-type
-// counters at attach time (keeps the metric name set stable between runs
-// regardless of which types actually flow).
+// typeTags lists the message body tags the Bus pre-registers per-type
+// counters for at attach time (keeps the metric name set stable between
+// runs regardless of which types actually flow). It is a fixed subset of
+// allTypeTags: the determinism goldens pin exactly these names.
 var typeTags = []string{"register", "policyset", "violation", "query", "report", "alarm", "directive", "ack"}
 
 // BusHandler consumes messages delivered to an address.
@@ -27,12 +28,6 @@ type Bus struct {
 
 	localDelay  time.Duration
 	remoteDelay time.Duration
-
-	// wire selects the codec used for byte accounting (the Bus delivers
-	// Message values in-process, so the "wire" only exists as the
-	// modeled msg.bus.bytes cost). WireJSON is the default; the
-	// pre-existing determinism goldens pin its byte counts.
-	wire WireFormat
 
 	Sent           uint64
 	Delivered      uint64
@@ -76,12 +71,6 @@ func NewBus(s *sim.Simulator, localDelay, remoteDelay time.Duration) *Bus {
 		remoteDelay: remoteDelay,
 	}
 }
-
-// SetWireFormat selects the codec the bus models for byte accounting
-// (msg.bus.bytes). Scenario runs that want the binary fast path's
-// modeled costs opt in; the default stays WireJSON so existing seeded
-// runs are unchanged.
-func (b *Bus) SetWireFormat(f WireFormat) { b.wire = f }
 
 // SetMetrics attaches the bus to a metrics registry: counters for
 // messages sent/delivered/dropped, wire bytes, and per-type message
@@ -146,14 +135,16 @@ func (b *Bus) Send(addr string, m Message) error {
 				c.Inc()
 			}
 		}
-		// Byte accounting marshals without the trace context: tracing is
-		// out-of-band metadata and must not perturb the deterministic
-		// msg.bus.bytes counter pinned by the goldens. The encode goes
-		// through a pooled buffer — only the length is kept.
+		// Byte accounting models the frame the message would cost on a
+		// socket (the Bus delivers Message values in-process). It encodes
+		// without the trace context: tracing is out-of-band metadata and
+		// must not perturb the deterministic msg.bus.bytes counter pinned
+		// by the goldens. The encode goes through a pooled buffer — only
+		// the length is kept.
 		untraced := m
 		untraced.Trace = telemetry.TraceContext{}
 		buf := getWireBuf()
-		if data, err := appendWire(buf[:0], b.wire, "", untraced); err == nil {
+		if data, err := appendBinaryFrame(buf[:0], "", untraced); err == nil {
 			b.metrics.bytes.Add(uint64(len(data)))
 			putWireBuf(data)
 		} else {

@@ -2,62 +2,41 @@ package msg
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 
 	"softqos/internal/telemetry"
 )
 
-// WireFormat selects how a transport encodes management frames. The
-// JSON-lines format is the compatibility default; the binary format is
-// the length-prefixed fast path negotiated between peers that both
-// support it (see docs/WIRE.md for the layout and negotiation rules).
-type WireFormat int
-
+// Every management frame on every transport is one binary frame: magic
+// byte, version byte, uvarint payload length, payload (see docs/WIRE.md
+// for the layout).
 const (
-	// WireJSON is one JSON envelope per newline-terminated line — the
-	// original wire format, readable by every peer.
-	WireJSON WireFormat = iota
-	// WireBinary is the length-prefixed binary frame: magic byte,
-	// version byte, uvarint payload length, payload. A binary frame can
-	// never be confused with a JSON line because the magic byte is not
-	// valid leading JSON.
-	WireBinary
-)
-
-func (f WireFormat) String() string {
-	if f == WireBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-const (
-	// binMagic opens every binary frame. 0xBF is not a valid first byte
-	// of UTF-8 JSON text, so receivers can sniff the format per frame.
+	// binMagic opens every frame. A stream whose next byte is anything
+	// else is not speaking this protocol and cannot be resynced.
 	binMagic = 0xBF
-	// binVersion is the current binary payload layout version.
+	// binVersion is the current payload layout version.
 	binVersion = 1
-	// MaxFrameBytes caps a binary frame's declared payload length.
-	// Frames claiming more are rejected before any allocation, so a
-	// corrupt or hostile length prefix cannot balloon memory.
+	// MaxFrameBytes caps a frame's payload length. Senders refuse to
+	// encode larger payloads; receivers reject larger length claims
+	// before any allocation, so a corrupt or hostile length prefix
+	// cannot balloon memory.
 	MaxFrameBytes = 1 << 20
 )
 
-// Typed decode errors. Transports and fuzzers distinguish these from
-// generic decode failures: a truncated frame on a stream means "read
-// more", while trailing bytes or a bad version mean the peer is broken.
+// Typed codec errors. Transports and fuzzers distinguish these from
+// generic failures: a truncated frame on a stream means "read more",
+// while a missing magic, trailing bytes or a bad version mean the peer
+// is broken.
 var (
-	// ErrNotBinary: the buffer does not start with the binary magic.
+	// ErrNotBinary: the buffer or stream does not start with the magic.
 	ErrNotBinary = errors.New("msg: not a binary frame")
 	// ErrBadVersion: the frame's version byte is unknown to this node.
 	ErrBadVersion = errors.New("msg: unsupported binary frame version")
-	// ErrFrameTooBig: the declared payload length exceeds MaxFrameBytes.
+	// ErrFrameTooBig: the payload length exceeds MaxFrameBytes.
 	ErrFrameTooBig = errors.New("msg: binary frame exceeds size cap")
 	// ErrTruncated: the buffer ends before the declared frame does.
 	ErrTruncated = errors.New("msg: truncated binary frame")
@@ -84,6 +63,28 @@ const (
 	kindTelemetrySummary = 12
 	kindPolicyDelta      = 13
 )
+
+// kindTags is the one kind→tag table: the type tag names each kind in
+// per-type metrics, fault rules and drop reports.
+var kindTags = [...]string{
+	kindRegister:         "register",
+	kindPolicySet:        "policyset",
+	kindViolation:        "violation",
+	kindQuery:            "query",
+	kindReport:           "report",
+	kindAlarm:            "alarm",
+	kindDirective:        "directive",
+	kindAck:              "ack",
+	kindNack:             "nack",
+	kindHeartbeat:        "heartbeat",
+	kindAlarmBatch:       "alarmbatch",
+	kindTelemetrySummary: "telemetrysummary",
+	kindPolicyDelta:      "policydelta",
+}
+
+// allTypeTags returns every kind's tag in kind order, for registering
+// per-type counters up front.
+func allTypeTags() []string { return kindTags[1:] }
 
 func binKind(body any) (byte, error) {
 	switch body.(type) {
@@ -118,120 +119,55 @@ func binKind(body any) (byte, error) {
 	}
 }
 
+// TypeTag returns the type tag for a message body ("violation",
+// "heartbeat", ...), or an error for an unknown body type. Fault
+// injection and other transport middleware select messages by it.
+func TypeTag(body any) (string, error) { return typeTag(body) }
+
+func typeTag(body any) (string, error) {
+	k, err := binKind(body)
+	if err != nil {
+		return "", err
+	}
+	return kindTags[k], nil
+}
+
 // wireBufPool recycles frame buffers between sends. Transports encode
 // into a pooled buffer, write it to the socket (or just read its length
 // for byte accounting) and return it, so the steady-state send path
-// allocates nothing for the envelope.
+// allocates nothing for the frame.
 var wireBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
 
 func getWireBuf() []byte  { return wireBufPool.Get().([]byte) }
 func putWireBuf(b []byte) { wireBufPool.Put(b[:0]) } //nolint:staticcheck // slice header churn is fine here
 
 // keyPool recycles the scratch slices used to sort map keys during
-// binary encoding (binary maps are key-sorted so equal messages encode
-// to equal bytes on every node).
+// encoding (maps are key-sorted so equal messages encode to equal bytes
+// on every node).
 var keyPool = sync.Pool{New: func() any { return make([]string, 0, 16) }}
 
-// MarshalWire encodes one routed frame in the given format. JSON frames
-// are the bare line (no trailing newline); binary frames include the
-// full magic/version/length header.
-func MarshalWire(f WireFormat, to string, m Message) ([]byte, error) {
-	data, err := appendWire(nil, f, to, m)
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// appendWire appends one encoded frame to dst and returns the extended
-// slice. It is the shared encoder behind both transports' send paths.
-func appendWire(dst []byte, f WireFormat, to string, m Message) ([]byte, error) {
-	if f == WireBinary {
-		return appendBinaryFrame(dst, to, m)
-	}
-	return appendJSONFrame(dst, to, m)
-}
-
-// UnmarshalWire decodes one complete frame of either format, sniffing
-// the format from the first byte. The buffer must contain exactly one
-// frame; binary frames with trailing bytes return ErrTrailingBytes.
-func UnmarshalWire(data []byte) (to string, m Message, err error) {
-	if len(data) > 0 && data[0] == binMagic {
-		return unmarshalBinaryFrame(data)
-	}
-	return unmarshalRouted(data)
-}
-
-// ---------------------------------------------------------------------------
-// JSON fast path
-//
-// The original encoder marshaled the body into a json.RawMessage and then
-// re-marshaled the whole envelope, paying a second reflection pass and a
-// compact-copy of the body bytes. appendJSONFrame hand-builds the envelope
-// around a single body marshal, byte-identical to the old output (the
-// determinism goldens pin msg.bus.bytes, so identity is load-bearing).
-
-// appendJSONFrame appends the JSON envelope for m to dst.
-func appendJSONFrame(dst []byte, to string, m Message) ([]byte, error) {
-	tag, err := typeTag(m.Body)
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(m.Body)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, `{"from":`...)
-	dst = appendJSONString(dst, m.From)
-	if to != "" {
-		dst = append(dst, `,"to":`...)
-		dst = appendJSONString(dst, to)
-	}
-	dst = append(dst, `,"type":`...)
-	dst = appendJSONString(dst, tag)
-	if m.Trace.Valid() {
-		dst = append(dst, `,"trace":{"trace_id":`...)
-		dst = appendJSONString(dst, m.Trace.TraceID)
-		dst = append(dst, `,"span":`...)
-		dst = strconv.AppendInt(dst, int64(m.Trace.Span), 10)
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `,"body":`...)
-	dst = append(dst, body...)
-	dst = append(dst, '}')
-	return dst, nil
-}
-
-// appendJSONString appends s as a JSON string. Plain ASCII (the
-// overwhelmingly common case for management addresses and type tags) is
-// copied directly; anything needing escapes falls back to json.Marshal
-// so the output matches encoding/json byte-for-byte in every case.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, err := json.Marshal(s)
-			if err != nil { // cannot happen for a string
-				return append(append(dst, '"'), '"')
-			}
-			return append(dst, enc...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+// MarshalWire encodes one routed frame, including the full
+// magic/version/length header.
+func MarshalWire(to string, m Message) ([]byte, error) {
+	return appendBinaryFrame(nil, to, m)
 }
 
 // ---------------------------------------------------------------------------
 // Binary encode
 
-// appendBinaryFrame appends the framed binary encoding of m to dst.
+// appendBinaryFrame appends the framed encoding of m to dst. A payload
+// larger than MaxFrameBytes fails with ErrFrameTooBig: every receiver
+// would reject it and drop the connection.
 func appendBinaryFrame(dst []byte, to string, m Message) ([]byte, error) {
 	payload := getWireBuf()
 	payload, err := appendBinaryPayload(payload[:0], to, m)
 	if err != nil {
 		putWireBuf(payload)
 		return nil, err
+	}
+	if len(payload) > MaxFrameBytes {
+		putWireBuf(payload)
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(payload))
 	}
 	dst = append(dst, binMagic, binVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
@@ -499,10 +435,11 @@ func appendBinTelemetrySummary(dst []byte, b *TelemetrySummary) []byte {
 // ---------------------------------------------------------------------------
 // Binary decode
 
-// unmarshalBinaryFrame decodes one complete framed buffer: header checks
-// first, then the payload. Every length is validated against the bytes
-// actually present before any allocation sized from it.
-func unmarshalBinaryFrame(data []byte) (string, Message, error) {
+// UnmarshalWire decodes one complete frame: header checks first, then
+// the payload. The buffer must contain exactly one frame; every length
+// is validated against the bytes actually present before any allocation
+// sized from it, and every error wraps one of the typed errors above.
+func UnmarshalWire(data []byte) (to string, m Message, err error) {
 	if len(data) == 0 || data[0] != binMagic {
 		return "", Message{}, ErrNotBinary
 	}

@@ -221,27 +221,31 @@ func TestTransportConformance(t *testing.T) {
 					t.Errorf("context invented on context-free message: %+v", got[1].Trace)
 				}
 				// The wire encoding itself must be transport-independent:
-				// both transports move the same marshaled frame, so a
-				// message with a context marshals byte-identically
-				// everywhere, and one without a context marshals exactly
-				// as it did before contexts existed.
-				b1, err := marshalRouted("/conf/sink", withCtx)
+				// both transports move the same marshaled frame, so the
+				// context round-trips through it, and a message without a
+				// context carries none.
+				b1, err := MarshalWire("/conf/sink", withCtx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				to, rt, err := unmarshalRouted(b1)
+				to, rt, err := UnmarshalWire(b1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if to != "/conf/sink" || rt.Trace != ctx {
 					t.Errorf("round-trip: to=%q trace=%+v", to, rt.Trace)
 				}
-				b2, err := marshalRouted("/conf/sink", without)
+				stripped := withCtx
+				stripped.Trace = telemetry.TraceContext{}
+				b2, err := MarshalWire("/conf/sink", stripped)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if bytes.Contains(b2, []byte("trace")) {
-					t.Errorf("context-free frame mentions trace: %s", b2)
+				if bytes.Contains(b2, []byte(ctx.TraceID)) {
+					t.Errorf("context-free frame carries the trace ID: %x", b2)
+				}
+				if _, rt2, err := UnmarshalWire(b2); err != nil || rt2.Trace.Valid() {
+					t.Errorf("context-free frame decoded with trace %+v (err %v)", rt2.Trace, err)
 				}
 			})
 

@@ -2,27 +2,45 @@ package msg
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
 
 	"softqos/internal/telemetry"
 )
 
-// FuzzUnmarshal feeds arbitrary bytes to the wire decoder. The invariants
-// are absolute: never panic, never return a message and an error
-// together, and classify malformed binary frames as the documented typed
-// errors. The seed corpus covers both formats plus every deterministic
-// malformation the unit tests pin.
+// typedCodecError reports whether err is one of the codec's documented
+// typed errors — the only errors the decoder may return.
+func typedCodecError(err error) bool {
+	for _, want := range []error{ErrNotBinary, ErrBadVersion, ErrFrameTooBig,
+		ErrTruncated, ErrTrailingBytes, ErrBadKind} {
+		if errors.Is(err, want) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzUnmarshal feeds arbitrary bytes to UnmarshalWire, the only parser
+// of TCP input. The invariants are absolute: never panic, every error is
+// one of the typed codec errors, and anything that decodes re-encodes
+// byte-stably. The seed corpus holds every corpus message as a frame,
+// the same messages as the JSON text a non-binary peer would write, and
+// every deterministic malformation the unit tests pin.
 func FuzzUnmarshal(f *testing.F) {
 	for _, m := range codecCorpus() {
-		for _, wf := range []WireFormat{WireJSON, WireBinary} {
-			data, err := MarshalWire(wf, "/dest/addr", m)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(data)
+		data, err := MarshalWire("/dest/addr", m)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(data)
+	}
+	for _, m := range codecCorpus() {
+		data, err := json.Marshal(m.Body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{binMagic})
@@ -32,16 +50,19 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{binMagic, binVersion, 4, 77, 0, 0, 0})
 	f.Add([]byte(`{"type":"ack","body":{"ref":"r","ok":true}}`))
 	f.Add([]byte(`{"type":"nosuch","body":{}}`))
-	f.Add(helloFrame("fuzz"))
+	f.Add([]byte{binMagic, binVersion, 3, kindRegister, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		to, m, err := UnmarshalWire(data) // must not panic
 		if err != nil {
+			if !typedCodecError(err) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
 			return
 		}
-		// Decoded successfully: the message must survive a binary
-		// re-encode byte-stably (decode → encode is a fixpoint).
-		re, err := MarshalWire(WireBinary, to, m)
+		// Decoded successfully: the message must survive a re-encode
+		// byte-stably (decode → encode is a fixpoint).
+		re, err := MarshalWire(to, m)
 		if err != nil {
 			t.Fatalf("re-marshal of decoded message failed: %v", err)
 		}
@@ -52,31 +73,28 @@ func FuzzUnmarshal(f *testing.F) {
 		if to2 != to {
 			t.Fatalf("to changed across round-trip: %q -> %q", to, to2)
 		}
-		re2, err := MarshalWire(WireBinary, to2, m2)
+		re2, err := MarshalWire(to2, m2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(re, re2) {
-			t.Fatalf("binary encoding not a fixpoint:\n%x\n%x", re, re2)
+			t.Fatalf("encoding not a fixpoint:\n%x\n%x", re, re2)
 		}
 	})
 }
 
-// FuzzBinaryTruncation: for any decodable binary frame, every strict
-// prefix must fail loudly with a typed error — the stream reader depends
-// on truncation never decoding as success.
+// FuzzBinaryTruncation: for any decodable frame, every strict prefix
+// must fail loudly with a typed error — the stream reader depends on
+// truncation never decoding as success.
 func FuzzBinaryTruncation(f *testing.F) {
 	for _, m := range codecCorpus() {
-		data, err := MarshalWire(WireBinary, "/d", m)
+		data, err := MarshalWire("/d", m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data, 5)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cut int) {
-		if len(data) == 0 || data[0] != binMagic {
-			return
-		}
 		if _, _, err := UnmarshalWire(data); err != nil {
 			return // not a valid frame to begin with
 		}
@@ -88,22 +106,16 @@ func FuzzBinaryTruncation(f *testing.F) {
 		if err == nil {
 			t.Fatalf("%d-byte prefix of a %d-byte frame decoded successfully", cut, len(data))
 		}
-		if cut == 0 {
-			return // empty input routes to the JSON decoder's generic error
-		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrFrameTooBig) &&
-			!errors.Is(err, ErrBadVersion) && !errors.Is(err, ErrBadKind) &&
-			!errors.Is(err, ErrTrailingBytes) && !errors.Is(err, ErrNotBinary) {
+		if !typedCodecError(err) {
 			t.Fatalf("prefix error is untyped: %v", err)
 		}
 	})
 }
 
-// FuzzPolicyDelta targets the newest wire kind specifically: arbitrary
-// bytes never panic the decoder, strict prefixes of a valid binary
-// delta frame fail with typed errors, and a delta built from fuzzed
-// fields round-trips equivalently through both codecs (canonical binary
-// re-encode comparison, same as FuzzCodecRoundTrip).
+// FuzzPolicyDelta targets the policy-push kind specifically: arbitrary
+// bytes never panic the decoder, strict prefixes of a valid delta frame
+// fail with typed errors, and a delta built from fuzzed fields
+// round-trips (canonical re-encode comparison, as in FuzzCodecRoundTrip).
 func FuzzPolicyDelta(f *testing.F) {
 	f.Add(uint64(7), uint64(6), "mpeg_play", "canary", "h-0", "P", 24.0, []byte{})
 	f.Add(uint64(1), uint64(0), "x", "fleet", "", "", -0.5, []byte{binMagic})
@@ -112,7 +124,7 @@ func FuzzPolicyDelta(f *testing.F) {
 		if _, ok := m.Body.(PolicyDelta); !ok {
 			continue
 		}
-		data, err := MarshalWire(WireBinary, "/d", m)
+		data, err := MarshalWire("/d", m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -121,31 +133,20 @@ func FuzzPolicyDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, gen, prev uint64, exe, scope, host, policy string, val float64, raw []byte) {
 		// Leg 1: the raw bytes through the decoder — must not panic, and
 		// if they decode, truncation of every strict prefix must be loud
-		// and typed when the frame is binary.
-		if _, _, err := UnmarshalWire(raw); err == nil &&
-			len(raw) > 0 && raw[0] == binMagic {
-			for n := 1; n < len(raw); n++ {
+		// and typed.
+		if _, _, err := UnmarshalWire(raw); err == nil {
+			for n := 0; n < len(raw); n++ {
 				_, _, err := UnmarshalWire(raw[:n])
 				if err == nil {
 					t.Fatalf("%d-byte prefix of a %d-byte frame decoded successfully", n, len(raw))
 				}
-				if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrFrameTooBig) &&
-					!errors.Is(err, ErrBadVersion) && !errors.Is(err, ErrBadKind) &&
-					!errors.Is(err, ErrTrailingBytes) {
+				if !typedCodecError(err) {
 					t.Fatalf("prefix error is untyped: %v", err)
 				}
 			}
 		}
 
-		// Leg 2: a delta built from the fuzzed fields must round-trip
-		// equivalently through both wire formats.
-		if val != val || val > 1.7e308 || val < -1.7e308 {
-			return // JSON cannot carry NaN/Inf
-		}
-		exe = strings.ToValidUTF8(exe, "�")
-		scope = strings.ToValidUTF8(scope, "�")
-		host = strings.ToValidUTF8(host, "�")
-		policy = strings.ToValidUTF8(policy, "�")
+		// Leg 2: a delta built from the fuzzed fields must round-trip.
 		m := Message{From: "/mgmt/repo", Body: PolicyDelta{
 			Generation: gen, Prev: prev, Executable: exe, Scope: scope,
 			Hosts: []string{host},
@@ -153,51 +154,37 @@ func FuzzPolicyDelta(f *testing.F) {
 				Conditions: []CondSpec{{Attribute: policy, Sensor: exe, Op: ">=", Value: val}},
 				Actions:    []ActionSpec{{Target: exe, Op: "read", Args: []string{policy}}}}},
 			Reason: scope}}
-		canon, err := MarshalWire(WireBinary, "/dest", m)
+		data, err := MarshalWire("/dest", m)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		to, got, err := UnmarshalWire(data)
+		if err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		if to != "/dest" || got.From != m.From {
+			t.Fatalf("envelope changed: to=%q from=%q", to, got.From)
+		}
+		again, err := MarshalWire(to, got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, wf := range []WireFormat{WireJSON, WireBinary} {
-			data, err := MarshalWire(wf, "/dest", m)
-			if err != nil {
-				t.Fatalf("format %d: marshal: %v", wf, err)
-			}
-			to, got, err := UnmarshalWire(data)
-			if err != nil {
-				t.Fatalf("format %d: unmarshal: %v", wf, err)
-			}
-			if to != "/dest" || got.From != m.From {
-				t.Fatalf("format %d: envelope changed: to=%q from=%q", wf, to, got.From)
-			}
-			again, err := MarshalWire(WireBinary, to, got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(canon, again) {
-				t.Fatalf("format %d: canonical encodings differ:\n%x\n%x", wf, canon, again)
-			}
+		if !bytes.Equal(data, again) {
+			t.Fatalf("canonical encodings differ:\n%x\n%x", data, again)
 		}
 	})
 }
 
-// FuzzCodecRoundTrip builds a message from fuzzed field values and
-// requires both codecs to carry it losslessly (modulo the documented
-// nil/empty map normalization, checked via canonical re-encode).
+// FuzzCodecRoundTrip builds messages from fuzzed field values and
+// requires the codec to carry them losslessly (modulo the documented
+// nil/empty normalization, checked via canonical re-encode). Strings go
+// through as raw bytes and floats as raw bits, so no input is out of
+// scope.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add("/h/app/x/1", "/mgmt/agent", "frame_rate", 14.5, uint64(3), true, "trace#1")
 	f.Add("", "", "", -0.25, uint64(0), false, "")
 	f.Add("/h/über", "weird \"to\" <>&", "ünïcode\n\t", 1e308, uint64(1<<63), true, "t")
 	f.Fuzz(func(t *testing.T, from, to, attr string, val float64, seq uint64, flag bool, traceID string) {
-		if val != val || val > 1.7e308 || val < -1.7e308 {
-			return // JSON cannot carry NaN/Inf; out of scope for both codecs
-		}
-		// The management plane only ever carries UTF-8 addresses and
-		// names; JSON re-encodes invalid sequences as U+FFFD, so align
-		// the inputs rather than testing a lossy path.
-		from = strings.ToValidUTF8(from, "�")
-		to = strings.ToValidUTF8(to, "�")
-		attr = strings.ToValidUTF8(attr, "�")
-		traceID = strings.ToValidUTF8(traceID, "�")
 		id := Identity{Host: from, PID: int(seq % 1 << 16), Executable: attr, Application: "app"}
 		msgs := []Message{
 			{From: from, Body: Violation{ID: id, Policy: attr,
@@ -211,34 +198,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			msgs[0].Trace = telemetry.TraceContext{TraceID: traceID, Span: int(seq % 1 << 20)}
 		}
 		for i, m := range msgs {
-			for _, wf := range []WireFormat{WireJSON, WireBinary} {
-				data, err := MarshalWire(wf, to, m)
-				if err != nil {
-					t.Fatalf("message %d format %d: marshal: %v", i, wf, err)
-				}
-				gotTo, got, err := UnmarshalWire(data)
-				if err != nil {
-					t.Fatalf("message %d format %d: unmarshal: %v", i, wf, err)
-				}
-				if gotTo != to {
-					t.Fatalf("message %d format %d: to = %q, want %q", i, wf, gotTo, to)
-				}
-				if got.From != m.From || got.Trace != m.Trace {
-					t.Fatalf("message %d format %d: envelope changed: %+v", i, wf, got)
-				}
-				// Canonical comparison: both the original and the decoded
-				// message must produce identical binary encodings.
-				want, err := MarshalWire(WireBinary, to, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				again, err := MarshalWire(WireBinary, gotTo, got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want, again) {
-					t.Fatalf("message %d format %d: canonical encodings differ:\n%x\n%x", i, wf, want, again)
-				}
+			data, err := MarshalWire(to, m)
+			if err != nil {
+				t.Fatalf("message %d: marshal: %v", i, err)
+			}
+			gotTo, got, err := UnmarshalWire(data)
+			if err != nil {
+				t.Fatalf("message %d: unmarshal: %v", i, err)
+			}
+			if gotTo != to {
+				t.Fatalf("message %d: to = %q, want %q", i, gotTo, to)
+			}
+			if got.From != m.From || got.Trace != m.Trace {
+				t.Fatalf("message %d: envelope changed: %+v", i, got)
+			}
+			again, err := MarshalWire(gotTo, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, again) {
+				t.Fatalf("message %d: canonical encodings differ:\n%x\n%x", i, data, again)
 			}
 		}
 	})

@@ -2,12 +2,11 @@
 // instrumented processes (coordinators), policy agents, QoS host managers
 // and QoS domain managers, together with two interchangeable transports:
 // an in-simulation bus (the analogue of the prototype's UNIX message
-// queues) and a TCP JSON-lines transport (the analogue of its sockets)
-// used by live, wall-clock instrumentation.
+// queues) and a TCP transport of length-prefixed binary frames (the
+// analogue of its sockets) used by live, wall-clock instrumentation.
 package msg
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"softqos/internal/telemetry"
@@ -201,137 +200,13 @@ type PolicyDelta struct {
 
 // Message is the envelope union: exactly one well-known body type. Trace
 // is out-of-band observability metadata — the violation-trace context the
-// message extends, propagated identically by both transports and absent
-// from the wire when zero (so tracing never changes message framing for
-// untraced traffic).
+// message extends, propagated identically by both transports. On the
+// wire an absent context costs one zero flag byte, so untraced traffic
+// frames the same whether or not tracing is armed.
 type Message struct {
 	From  string                 `json:"from"`
 	Trace telemetry.TraceContext `json:"-"`
 	Body  any                    `json:"-"`
-}
-
-// envelope is the JSON wire form with an explicit type tag. To carries
-// the destination management address when the frame travels over a
-// routed transport (NetTransport); point-to-point connections leave it
-// empty. Trace is carried only when the message has one.
-type envelope struct {
-	From  string                  `json:"from"`
-	To    string                  `json:"to,omitempty"`
-	Type  string                  `json:"type"`
-	Trace *telemetry.TraceContext `json:"trace,omitempty"`
-	Body  json.RawMessage         `json:"body"`
-}
-
-// TypeTag returns the wire type tag for a message body ("violation",
-// "heartbeat", ...), or an error for an unknown body type. Fault
-// injection and other transport middleware select messages by it.
-func TypeTag(body any) (string, error) { return typeTag(body) }
-
-func typeTag(body any) (string, error) {
-	switch body.(type) {
-	case Register, *Register:
-		return "register", nil
-	case PolicySet, *PolicySet:
-		return "policyset", nil
-	case Violation, *Violation:
-		return "violation", nil
-	case Query, *Query:
-		return "query", nil
-	case Report, *Report:
-		return "report", nil
-	case Alarm, *Alarm:
-		return "alarm", nil
-	case Directive, *Directive:
-		return "directive", nil
-	case Ack, *Ack:
-		return "ack", nil
-	case Nack, *Nack:
-		return "nack", nil
-	case Heartbeat, *Heartbeat:
-		return "heartbeat", nil
-	case AlarmBatch, *AlarmBatch:
-		return "alarmbatch", nil
-	case TelemetrySummary, *TelemetrySummary:
-		return "telemetrysummary", nil
-	case PolicyDelta, *PolicyDelta:
-		return "policydelta", nil
-	default:
-		return "", fmt.Errorf("msg: unknown body type %T", body)
-	}
-}
-
-// Marshal encodes a message as one JSON line (no trailing newline).
-func Marshal(m Message) ([]byte, error) {
-	return marshalRouted("", m)
-}
-
-// marshalRouted encodes a message addressed to a management address, for
-// transports that multiplex many destinations over one connection. The
-// envelope is hand-built around a single body marshal (see
-// appendJSONFrame); the output is byte-identical to marshaling the
-// envelope struct, which the determinism goldens pin via byte counters.
-func marshalRouted(to string, m Message) ([]byte, error) {
-	return appendJSONFrame(nil, to, m)
-}
-
-// Unmarshal decodes one JSON line into a Message whose Body has the
-// concrete type named by the envelope tag.
-func Unmarshal(data []byte) (Message, error) {
-	_, m, err := unmarshalRouted(data)
-	return m, err
-}
-
-// unmarshalRouted decodes one JSON line, also returning the destination
-// management address (empty for point-to-point frames).
-func unmarshalRouted(data []byte) (string, Message, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return "", Message{}, fmt.Errorf("msg: bad envelope: %w", err)
-	}
-	var body any
-	switch env.Type {
-	case "register":
-		body = &Register{}
-	case "policyset":
-		body = &PolicySet{}
-	case "violation":
-		body = &Violation{}
-	case "query":
-		body = &Query{}
-	case "report":
-		body = &Report{}
-	case "alarm":
-		body = &Alarm{}
-	case "directive":
-		body = &Directive{}
-	case "ack":
-		body = &Ack{}
-	case "nack":
-		body = &Nack{}
-	case "heartbeat":
-		body = &Heartbeat{}
-	case "alarmbatch":
-		body = &AlarmBatch{}
-	case "telemetrysummary":
-		body = &TelemetrySummary{}
-	case "policydelta":
-		body = &PolicyDelta{}
-	case "hello":
-		// Wire-format negotiation control frame (see wire.go), not a
-		// management message: transports intercept it, everyone else
-		// treats it as undecodable.
-		return "", Message{}, errHelloFrame
-	default:
-		return "", Message{}, fmt.Errorf("msg: unknown message type %q", env.Type)
-	}
-	if err := json.Unmarshal(env.Body, body); err != nil {
-		return "", Message{}, fmt.Errorf("msg: bad %s body: %w", env.Type, err)
-	}
-	m := Message{From: env.From, Body: body}
-	if env.Trace != nil {
-		m.Trace = *env.Trace
-	}
-	return env.To, m, nil
 }
 
 // SendFunc transmits a management message to a management address. The

@@ -35,18 +35,21 @@ func TestMarshalRoundTripAllTypes(t *testing.T) {
 	}
 	for _, body := range bodies {
 		in := Message{From: "/test/sender", Body: body}
-		data, err := Marshal(in)
+		data, err := MarshalWire("", in)
 		if err != nil {
 			t.Fatalf("marshal %T: %v", body, err)
 		}
-		out, err := Unmarshal(data)
+		to, out, err := UnmarshalWire(data)
 		if err != nil {
 			t.Fatalf("unmarshal %T: %v", body, err)
+		}
+		if to != "" {
+			t.Errorf("%T: to = %q, want empty", body, to)
 		}
 		if out.From != in.From {
 			t.Errorf("%T: from = %q", body, out.From)
 		}
-		// Unmarshal yields a pointer to the concrete type.
+		// UnmarshalWire yields a pointer to the concrete type.
 		got := reflect.ValueOf(out.Body).Elem().Interface()
 		if !reflect.DeepEqual(got, body) {
 			t.Errorf("%T round trip:\n got %+v\nwant %+v", body, got, body)
@@ -55,19 +58,23 @@ func TestMarshalRoundTripAllTypes(t *testing.T) {
 }
 
 func TestMarshalUnknownTypeFails(t *testing.T) {
-	if _, err := Marshal(Message{Body: 42}); err == nil {
+	if _, err := MarshalWire("", Message{Body: 42}); err == nil {
 		t.Fatal("marshalling unknown body type succeeded")
 	}
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	for _, bad := range []string{
-		"not json",
-		`{"type":"nope","body":{}}`,
-		`{"type":"register","body":"not-an-object"}`,
+	for _, tc := range []struct {
+		data []byte
+		want error
+	}{
+		{[]byte("not json"), ErrNotBinary},
+		{[]byte(`{"type":"register","body":{}}`), ErrNotBinary},
+		{[]byte{binMagic, binVersion, 4, 99, 0, 0, 0}, ErrBadKind},
+		{[]byte{binMagic, binVersion, 3, kindRegister, 0, 0}, ErrTruncated},
 	} {
-		if _, err := Unmarshal([]byte(bad)); err == nil {
-			t.Errorf("Unmarshal(%q) succeeded", bad)
+		if _, _, err := UnmarshalWire(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("UnmarshalWire(%q) = %v, want %v", tc.data, err, tc.want)
 		}
 	}
 }

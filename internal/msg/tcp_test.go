@@ -43,9 +43,18 @@ func TestTCPLoopbackAllMessageTypes(t *testing.T) {
 		Alarm{ID: id, Policy: "P", Suspect: "remote", Readings: map[string]float64{"buffer_size": 0}},
 		Directive{From: "/domain", Action: "boost_cpu", Target: "mpeg_serve", Amount: 10},
 		Ack{Ref: "d1", OK: true, Err: "detail"},
+		Nack{ID: id, Ref: "register", Reason: "repository down"},
+		Heartbeat{ID: id, Seq: 9},
+		AlarmBatch{Tier: "host", Alarms: []BatchedAlarm{{Alarm: Alarm{ID: id, Policy: "P",
+			Suspect: "remote", Readings: map[string]float64{"frame_rate": 12}}, Count: 3, Severity: 1}},
+			Summary: map[string]float64{"domain_saturation": 0.5}},
+		TelemetrySummary{Tier: "host", Source: "/client-host/QoSHostManager", Seq: 4, Hosts: 1,
+			Counters: map[string]float64{"fleet.alarms_raised": 2}},
+		PolicyDelta{Generation: 3, Prev: 2, Executable: "mpeg_play", Scope: "canary",
+			Hosts: []string{"client-host"}, Reason: "canary start"},
 	}
-	if len(bodies) != len(typeTags) {
-		t.Fatalf("test covers %d body types, transport has %d", len(bodies), len(typeTags))
+	if len(bodies) != len(allTypeTags()) {
+		t.Fatalf("test covers %d body types, transport has %d", len(bodies), len(allTypeTags()))
 	}
 	for _, body := range bodies {
 		in := Message{From: "/test/sender", Body: body}

@@ -32,9 +32,8 @@ var (
 )
 
 // netMetrics holds the routed TCP transport's pre-resolved metric
-// handles under "msg.net.*". The per-type tag set includes "nack", which
-// only ever flows live (the sim's pre-registered "msg.bus.*" name set is
-// unchanged, keeping determinism goldens stable).
+// handles under "msg.net.*", with a per-type sent counter for every
+// message kind.
 type netMetrics struct {
 	reg        *telemetry.Registry
 	sent       *telemetry.Counter
@@ -59,7 +58,6 @@ func (m *netMetrics) droppedInvalid() {
 }
 
 func newNetMetrics(reg *telemetry.Registry) *netMetrics {
-	tags := append(append([]string(nil), typeTags...), "nack", "heartbeat", "alarmbatch")
 	m := &netMetrics{
 		reg:        reg,
 		sent:       reg.Counter("msg.net.sent"),
@@ -69,9 +67,9 @@ func newNetMetrics(reg *telemetry.Registry) *netMetrics {
 		retries:    reg.Counter("msg.net.retries"),
 		reconnects: reg.Counter("msg.net.reconnects"),
 		sendFailed: reg.Counter("msg.net.send_failed"),
-		byType:     make(map[string]*telemetry.Counter, len(tags)),
+		byType:     make(map[string]*telemetry.Counter, len(kindTags)),
 	}
-	for _, tag := range tags {
+	for _, tag := range allTypeTags() {
 		m.byType[tag] = reg.Counter("msg.net.sent." + tag)
 	}
 	return m
@@ -81,7 +79,7 @@ func newNetMetrics(reg *telemetry.Registry) *netMetrics {
 // management session. Each process creates one NetTransport, binds its
 // local components' management addresses, and sends to any address —
 // local addresses are delivered in-process, remote ones travel as routed
-// JSON-line envelopes over TCP connections that are dialed on demand and
+// binary frames over TCP connections that are dialed on demand and
 // reused.
 //
 // Routing: a destination resolves, in order, to (1) a locally bound
@@ -132,28 +130,6 @@ type NetTransport struct {
 	evlog   atomic.Pointer[eventlog.Logger]
 	metrics atomic.Pointer[netMetrics]
 	retryP  atomic.Pointer[Backoff]
-	wire    atomic.Int32 // preferred WireFormat (negotiated per conn, see wire.go)
-}
-
-// SetWireFormat sets the node's preferred frame encoding. WireJSON (the
-// default) keeps every frame a JSON line. WireBinary announces binary
-// capability on each new connection and upgrades outbound data frames
-// once the peer has announced too; peers that never do keep receiving
-// JSON (see wire.go for the negotiation rules).
-func (t *NetTransport) SetWireFormat(f WireFormat) { t.wire.Store(int32(f)) }
-
-func (t *NetTransport) wireFormat() WireFormat { return WireFormat(t.wire.Load()) }
-
-// sendHello announces binary capability on a connection, once.
-func (t *NetTransport) sendHello(c *Conn) {
-	if c.helloSent.Swap(true) {
-		return
-	}
-	if _, err := c.sendFrame(helloFrame(t.host), WireJSON); err != nil {
-		t.logf("msg: %s: wire hello failed: %v", t.host, err)
-		t.evlog.Load().Event(eventlog.Warn, "msg", "wire_hello_failed",
-			eventlog.Str("node", t.host), eventlog.Str("error", err.Error()))
-	}
 }
 
 // NewNetTransport creates a live transport node named host. listen is
@@ -221,8 +197,8 @@ func (t *NetTransport) SetLogf(fn func(format string, args ...any)) {
 }
 
 // SetEventLog routes the transport's diagnostics (invalid-frame drops,
-// hello failures, exhausted retries, reconnects) into the structured
-// event log as component "msg" records. Pass nil to detach.
+// exhausted retries, reconnects) into the structured event log as
+// component "msg" records. Pass nil to detach.
 func (t *NetTransport) SetEventLog(lg *eventlog.Logger) {
 	if lg == nil {
 		t.evlog.Store(nil)
@@ -244,11 +220,11 @@ type DropInfo struct {
 	Node string // transport host observing the drop
 	From string // sender management address (may be empty on outbound)
 	To   string // destination management address
-	Kind string // envelope type tag, "?" when the body type is unknown
+	Kind string // message type tag, "?" when the body type is unknown
 	Err  error  // the Validate error
 }
 
-// DropLogger receives every invalid-envelope drop. It runs on the
+// DropLogger receives every invalid-message drop. It runs on the
 // transport's send or read path, so it must be cheap and must not call
 // back into the transport.
 type DropLogger func(DropInfo)
@@ -365,7 +341,8 @@ func (t *NetTransport) Resilience() (retries, reconnects, sendFailed uint64) {
 // dropped mid-send — are retried with jittered exponential backoff
 // (SetRetryPolicy); the peer is redialed between tries. The returned
 // error is a *SendError classifying the final failure: routing and
-// validation errors return immediately without retrying.
+// validation errors, and a frame over MaxFrameBytes (ErrInvalid wrapping
+// ErrFrameTooBig), return immediately without retrying.
 func (t *NetTransport) Send(to string, m Message) error {
 	if err := Validate(m); err != nil {
 		t.dropInvalid(to, m, err)
@@ -470,25 +447,17 @@ func (t *NetTransport) trySend(to string, m Message) error {
 			t.wg.Add(1)
 			go t.readLoop(c)
 			t.mu.Unlock()
-			if t.wireFormat() == WireBinary {
-				t.sendHello(c)
-			}
 		}
 	}
 
-	// Binary only after the peer announced it understands binary;
-	// otherwise (including always, for a WireJSON node) JSON lines.
-	format := WireJSON
-	if t.wireFormat() == WireBinary && c.peerBin.Load() {
-		format = WireBinary
-	}
 	buf := getWireBuf()
-	data, err := appendWire(buf[:0], format, to, m)
+	data, err := appendBinaryFrame(buf[:0], to, m)
 	if err != nil {
 		putWireBuf(buf)
-		return err
+		return &SendError{To: to, Kind: ErrInvalid, Err: err}
 	}
-	wire, err := c.sendFrame(data, format)
+	err = c.sendFrame(data)
+	wire := len(data)
 	putWireBuf(data)
 	if err != nil {
 		t.forgetConn(c)
@@ -531,10 +500,10 @@ func (t *NetTransport) countSent(m Message, local bool) {
 		}
 	}
 	if local {
-		// parity with Bus: local deliveries still account wire bytes
-		// (in the node's preferred format, through a pooled buffer)
+		// parity with Bus: local deliveries still account the bytes
+		// their frame would cost (encoded through a pooled buffer)
 		buf := getWireBuf()
-		if data, err := appendWire(buf[:0], t.wireFormat(), "", m); err == nil {
+		if data, err := appendBinaryFrame(buf[:0], "", m); err == nil {
 			nm.bytes.Add(uint64(len(data)))
 			putWireBuf(data)
 		} else {
@@ -564,9 +533,6 @@ func (t *NetTransport) acceptLoop() {
 		t.conns[c] = struct{}{}
 		t.wg.Add(1)
 		t.mu.Unlock()
-		if t.wireFormat() == WireBinary {
-			t.sendHello(c)
-		}
 		go t.readLoop(c)
 	}
 }
@@ -575,28 +541,16 @@ func (t *NetTransport) readLoop(c *Conn) {
 	defer t.wg.Done()
 	defer t.forgetConn(c)
 	for {
-		frame, bin, err := c.recvFrame()
+		// A stream error (EOF, ErrNotBinary, ErrBadVersion, an oversize
+		// length claim) leaves no frame boundary to resync on: close.
+		frame, err := c.recvFrame()
 		if err != nil {
 			return
 		}
-		var to string
-		var m Message
-		if bin {
-			// A peer that speaks binary to us has negotiated already;
-			// note the capability in case we missed (or raced) its hello.
-			c.peerBin.Store(true)
-			to, m, err = unmarshalBinaryPayload(frame.data)
-		} else {
-			to, m, err = unmarshalRouted(frame.data)
-		}
+		// A complete frame whose payload does not decode is dropped; the
+		// length prefix already put the stream at the next frame.
+		to, m, err := unmarshalBinaryPayload(frame.data)
 		if err != nil {
-			if errors.Is(err, errHelloFrame) {
-				c.peerBin.Store(true)
-				if t.wireFormat() == WireBinary {
-					t.sendHello(c)
-				}
-				continue
-			}
 			t.dropped.Add(1)
 			if nm := t.metrics.Load(); nm != nil {
 				nm.dropped.Inc()

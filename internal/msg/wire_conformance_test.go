@@ -1,7 +1,8 @@
 package msg
 
 import (
-	"fmt"
+	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -9,33 +10,14 @@ import (
 	"softqos/internal/telemetry"
 )
 
-// Cross-codec conformance: the management plane's semantics must be
-// identical whichever wire format each peer is configured with. The
-// matrix covers both homogeneous deployments and the mixed-fleet case a
-// rolling upgrade produces: a binary-capable sender talking to a
-// JSON-only listener must silently stay on JSON (negotiation never
-// upgrades without a hello from the peer), and the reverse pairing must
-// deliver every JSON frame to a binary-capable listener.
+// Wire conformance: every transport writes and reads the one binary
+// frame format, and the management plane's semantics — delivery,
+// routing, trace context, validation, byte accounting — hold over it.
+// A peer that writes anything else is cut off, never half-parsed.
 
-type wirePairCase struct {
-	name     string
-	sender   WireFormat
-	receiver WireFormat
-	// upgraded: whether sender→receiver data frames are expected to end
-	// up binary once negotiation settles.
-	upgraded bool
-}
-
-var wirePairCases = []wirePairCase{
-	{"json-to-json", WireJSON, WireJSON, false},
-	{"binary-to-binary", WireBinary, WireBinary, true},
-	{"binary-to-json", WireBinary, WireJSON, false}, // negotiates down
-	{"json-to-binary", WireJSON, WireBinary, false},
-}
-
-// openWirePair starts two connected NetTransports with the given wire
-// configs and a route from each to the other.
-func openWirePair(t *testing.T, sf, rf WireFormat) (sender, receiver *NetTransport) {
+// openWirePair starts two connected NetTransports with a route from
+// each to the other.
+func openWirePair(t *testing.T) (sender, receiver *NetTransport) {
 	t.Helper()
 	sender, err := NewNetTransport("hostA", "127.0.0.1:0")
 	if err != nil {
@@ -47,8 +29,6 @@ func openWirePair(t *testing.T, sf, rf WireFormat) (sender, receiver *NetTranspo
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { receiver.Close() })
-	sender.SetWireFormat(sf)
-	receiver.SetWireFormat(rf)
 	sender.Route("/hostB/sink", receiver.Addr())
 	receiver.Route("/hostA/reply", sender.Addr())
 	return sender, receiver
@@ -71,144 +51,106 @@ func pumpUntil(t *testing.T, sender, receiver *NetTransport, cond func() bool) {
 	t.Fatal("condition not reached before deadline")
 }
 
-func TestWireFormatConformance(t *testing.T) {
-	for _, tc := range wirePairCases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			sender, receiver := openWirePair(t, tc.sender, tc.receiver)
-			var got []Message
-			receiver.Sync(func() {}) // dispatcher up
-			receiver.Bind("/hostB/sink", "hostB", func(m Message) {
-				receiver.Do(func() { got = append(got, m) })
-			})
-
-			// Every management type, including one traced message, twice:
-			// the first frame rides the pre-negotiation connection, the
-			// repeat rides the (possibly upgraded) settled connection.
-			msgs := oneOfEach()
-			msgs = append(msgs, Message{From: "/hostA/src",
-				Trace: telemetry.TraceContext{TraceID: "/hostA/src#9", Span: 2},
-				Body:  Violation{ID: Identity{Host: "hostA", PID: 7, Executable: "x"}, Policy: "P"}})
-			for round := 0; round < 2; round++ {
-				for _, m := range msgs {
-					if err := sender.Send("/hostB/sink", m); err != nil {
-						t.Fatalf("round %d send %T: %v", round, m.Body, err)
-					}
-				}
-			}
-			want := 2 * len(msgs)
-			pumpUntil(t, sender, receiver, func() bool { return len(got) == want })
-
-			for i, m := range got {
-				ref := msgs[i%len(msgs)]
-				wantTag, _ := typeTag(ref.Body)
-				haveTag, err := typeTag(m.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if haveTag != wantTag {
-					t.Errorf("message %d: delivered %q, sent %q", i, haveTag, wantTag)
-				}
-				if m.From != ref.From {
-					t.Errorf("message %d: From = %q, want %q", i, m.From, ref.From)
-				}
-				if m.Trace != ref.Trace {
-					t.Errorf("message %d: trace = %+v, want %+v", i, m.Trace, ref.Trace)
-				}
-			}
-
-			// Validation is codec-independent: an invalid message is
-			// rejected before any frame is cut.
-			if err := sender.Send("/hostB/sink", Message{From: "/hostA/src",
-				Body: Violation{Policy: "P"}}); err == nil {
-				t.Error("invalid message accepted")
-			}
-		})
-	}
+// allKinds returns one valid message of each of the 13 message kinds.
+func allKinds() []Message {
+	id := Identity{Host: "h", PID: 1, Executable: "x"}
+	return append(oneOfEach(),
+		Message{From: "/h/src", Body: Nack{ID: id, Ref: "register", Reason: "down"}},
+		Message{From: "/h/src", Body: Heartbeat{ID: id, Seq: 1}},
+		Message{From: "/h/src", Body: AlarmBatch{Tier: "host",
+			Summary: map[string]float64{"domain_saturation": 0.5}}})
 }
 
-// TestWireNegotiationDown pins the mixed-fleet byte accounting: a
-// binary-capable sender facing a JSON-only peer never cuts a binary
-// frame (JSON byte counts exactly match a json-to-json deployment),
-// while a binary pair's settled connection sends strictly smaller
-// frames.
-func TestWireNegotiationDown(t *testing.T) {
-	bytesSent := func(sf, rf WireFormat) uint64 {
-		sender, receiver := openWirePair(t, sf, rf)
-		reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-		sender.SetMetrics(reg)
-		delivered := 0
+// TestWireFormatConformance: two NetTransport nodes carry every message
+// kind, including a traced one, with routing and trace context intact,
+// on a fresh connection and again on the settled one.
+func TestWireFormatConformance(t *testing.T) {
+	t.Run("binary-to-binary", func(t *testing.T) {
+		sender, receiver := openWirePair(t)
+		var got []Message
+		receiver.Sync(func() {}) // dispatcher up
 		receiver.Bind("/hostB/sink", "hostB", func(m Message) {
-			receiver.Do(func() { delivered++ })
+			receiver.Do(func() { got = append(got, m) })
 		})
-		m := Message{From: "/hostA/src", Body: Violation{
-			ID: Identity{Host: "hostA", PID: 7, Executable: "x"}, Policy: "P",
-			Readings: map[string]float64{"frame_rate": 12.5}}}
-		// Prime the connection (and negotiation) with one message, then
-		// measure a settled batch.
-		if err := sender.Send("/hostB/sink", m); err != nil {
+
+		msgs := allKinds()
+		msgs = append(msgs, Message{From: "/hostA/src",
+			Trace: telemetry.TraceContext{TraceID: "/hostA/src#9", Span: 2},
+			Body:  Violation{ID: Identity{Host: "hostA", PID: 7, Executable: "x"}, Policy: "P"}})
+		for round := 0; round < 2; round++ {
+			for _, m := range msgs {
+				if err := sender.Send("/hostB/sink", m); err != nil {
+					t.Fatalf("round %d send %T: %v", round, m.Body, err)
+				}
+			}
+		}
+		want := 2 * len(msgs)
+		pumpUntil(t, sender, receiver, func() bool { return len(got) == want })
+
+		for i, m := range got {
+			ref := msgs[i%len(msgs)]
+			wantTag, _ := typeTag(ref.Body)
+			haveTag, err := typeTag(m.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if haveTag != wantTag {
+				t.Errorf("message %d: delivered %q, sent %q", i, haveTag, wantTag)
+			}
+			if m.From != ref.From {
+				t.Errorf("message %d: From = %q, want %q", i, m.From, ref.From)
+			}
+			if m.Trace != ref.Trace {
+				t.Errorf("message %d: trace = %+v, want %+v", i, m.Trace, ref.Trace)
+			}
+		}
+
+		// An invalid message is rejected before any frame is cut.
+		if err := sender.Send("/hostB/sink", Message{From: "/hostA/src",
+			Body: Violation{Policy: "P"}}); err == nil {
+			t.Error("invalid message accepted")
+		}
+	})
+}
+
+// TestBusWireFormats: the Bus models each send as the frame it would
+// cost on a socket — msg.bus.bytes is exactly the sum of the frame
+// lengths, with the trace context stripped so tracing never moves it.
+func TestBusWireFormats(t *testing.T) {
+	s := sim.New(1)
+	b := NewBus(s, time.Millisecond, 5*time.Millisecond)
+	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
+	b.SetMetrics(reg)
+	delivered := 0
+	b.Bind("/conf/sink", "conf", func(Message) { delivered++ })
+	msgs := allKinds()
+	msgs = append(msgs, Message{From: "/h/src",
+		Trace: telemetry.TraceContext{TraceID: "/h/src#3", Span: 1},
+		Body:  Violation{ID: Identity{Host: "h", PID: 1, Executable: "x"}, Policy: "P"}})
+	var want uint64
+	for _, m := range msgs {
+		if err := b.Send("/conf/sink", m); err != nil {
 			t.Fatal(err)
 		}
-		pumpUntil(t, sender, receiver, func() bool { return delivered == 1 })
-		before := reg.Counter("msg.net.bytes").Value()
-		const batch = 16
-		for i := 0; i < batch; i++ {
-			if err := sender.Send("/hostB/sink", m); err != nil {
-				t.Fatal(err)
-			}
+		untraced := m
+		untraced.Trace = telemetry.TraceContext{}
+		frame, err := MarshalWire("", untraced)
+		if err != nil {
+			t.Fatal(err)
 		}
-		pumpUntil(t, sender, receiver, func() bool { return delivered == 1+batch })
-		return reg.Counter("msg.net.bytes").Value() - before
+		want += uint64(len(frame))
 	}
-
-	jsonBaseline := bytesSent(WireJSON, WireJSON)
-	negotiatedDown := bytesSent(WireBinary, WireJSON)
-	binaryPair := bytesSent(WireBinary, WireBinary)
-
-	if negotiatedDown != jsonBaseline {
-		t.Errorf("binary→json sender cut %d wire bytes, json→json cut %d — negotiation must stay on JSON",
-			negotiatedDown, jsonBaseline)
+	s.RunFor(time.Second)
+	if delivered != len(msgs) {
+		t.Errorf("delivered %d of %d", delivered, len(msgs))
 	}
-	if binaryPair >= jsonBaseline {
-		t.Errorf("binary pair cut %d wire bytes, json baseline %d — settled binary frames should be smaller",
-			binaryPair, jsonBaseline)
+	if got := reg.Counter("msg.bus.bytes").Value(); got != want {
+		t.Errorf("msg.bus.bytes = %d, want %d (sum of untraced frame lengths)", got, want)
 	}
 }
 
-// TestBusWireFormats: the Bus models both codecs for byte accounting;
-// delivery semantics and counts are identical, only msg.bus.bytes moves.
-func TestBusWireFormats(t *testing.T) {
-	run := func(f WireFormat) (delivered int, bytes uint64) {
-		s := sim.New(1)
-		b := NewBus(s, time.Millisecond, 5*time.Millisecond)
-		b.SetWireFormat(f)
-		reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-		b.SetMetrics(reg)
-		b.Bind("/conf/sink", "conf", func(Message) { delivered++ })
-		for _, m := range oneOfEach() {
-			if err := b.Send("/conf/sink", m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.RunFor(time.Second)
-		return delivered, reg.Counter("msg.bus.bytes").Value()
-	}
-	jd, jb := run(WireJSON)
-	bd, bb := run(WireBinary)
-	if jd != bd {
-		t.Errorf("delivery count depends on modeled codec: json=%d binary=%d", jd, bd)
-	}
-	if bb == 0 || jb == 0 {
-		t.Fatalf("byte accounting missing: json=%d binary=%d", jb, bb)
-	}
-	if bb >= jb {
-		t.Errorf("binary modeled bytes (%d) not smaller than JSON (%d)", bb, jb)
-	}
-}
-
-// TestConnWireFormats: the point-to-point Conn carries every type under
-// both formats, including a mid-stream format switch (receivers sniff
-// per frame).
+// TestConnWireFormats: the point-to-point Conn carries every kind, and
+// its byte counters are exactly the frame lengths on the wire.
 func TestConnWireFormats(t *testing.T) {
 	recv := make(chan Message, 64)
 	srv, err := Serve("127.0.0.1:0", func(_ *Conn, m Message) { recv <- m })
@@ -221,15 +163,20 @@ func TestConnWireFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
+	c.SetMetrics(reg)
 
-	var sent []Message
-	for i, f := range []WireFormat{WireJSON, WireBinary, WireJSON, WireBinary} {
-		c.SetWireFormat(f)
-		m := Message{From: "/h/src", Body: Ack{Ref: fmt.Sprintf("switch-%d", i), OK: true}}
+	sent := allKinds()
+	var wire uint64
+	for i, m := range sent {
 		if err := c.Send(m); err != nil {
-			t.Fatalf("frame %d (%v): %v", i, f, err)
+			t.Fatalf("frame %d: %v", i, err)
 		}
-		sent = append(sent, m)
+		frame, err := MarshalWire("", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire += uint64(len(frame))
 	}
 	for i, want := range sent {
 		select {
@@ -238,5 +185,131 @@ func TestConnWireFormats(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("frame %d never arrived", i)
 		}
+	}
+	if got := reg.Counter("msg.tcp.sent_bytes").Value(); got != wire {
+		t.Errorf("msg.tcp.sent_bytes = %d, want %d", got, wire)
+	}
+}
+
+// TestNetPerTypeCounters: every message kind sent over TCP is counted
+// under its own msg.net.sent.<tag>, and the per-type counters add up to
+// msg.net.sent.
+func TestNetPerTypeCounters(t *testing.T) {
+	sender, receiver := openWirePair(t)
+	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
+	sender.SetMetrics(reg)
+	delivered := 0
+	receiver.Bind("/hostB/sink", "hostB", func(Message) { receiver.Do(func() { delivered++ }) })
+	msgs := allKinds()
+	if len(msgs) != len(allTypeTags()) {
+		t.Fatalf("test sends %d kinds, codec has %d", len(msgs), len(allTypeTags()))
+	}
+	for _, m := range msgs {
+		if err := sender.Send("/hostB/sink", m); err != nil {
+			t.Fatalf("send %T: %v", m.Body, err)
+		}
+	}
+	pumpUntil(t, sender, receiver, func() bool { return delivered == len(msgs) })
+	var sum uint64
+	for _, tag := range allTypeTags() {
+		n := reg.Counter("msg.net.sent." + tag).Value()
+		if n != 1 {
+			t.Errorf("msg.net.sent.%s = %d, want 1", tag, n)
+		}
+		sum += n
+	}
+	if total := reg.Counter("msg.net.sent").Value(); sum != total {
+		t.Errorf("per-type counters sum to %d, msg.net.sent = %d", sum, total)
+	}
+}
+
+// TestNetOversizeFrameRefused: a message whose frame would exceed
+// MaxFrameBytes fails at once as a non-retryable invalid send, without
+// touching the connection, so the next normal send on the same route
+// still arrives.
+func TestNetOversizeFrameRefused(t *testing.T) {
+	sender, receiver := openWirePair(t)
+	var got []Message
+	receiver.Bind("/hostB/sink", "hostB", func(m Message) { receiver.Do(func() { got = append(got, m) }) })
+	ack := Message{From: "/hostA/src", Body: Ack{Ref: "before"}}
+	if err := sender.Send("/hostB/sink", ack); err != nil {
+		t.Fatal(err)
+	}
+	pumpUntil(t, sender, receiver, func() bool { return len(got) == 1 })
+
+	err := sender.Send("/hostB/sink", bigPolicySet(MaxFrameBytes))
+	var se *SendError
+	if !errors.As(err, &se) || se.Kind != ErrInvalid || !errors.Is(err, ErrFrameTooBig) {
+		t.Fatalf("oversize send = %v, want SendError{Kind: invalid} wrapping ErrFrameTooBig", err)
+	}
+	if se.Retryable() {
+		t.Error("oversize send classified retryable")
+	}
+	if retries, _, failed := sender.Resilience(); retries != 0 || failed != 1 {
+		t.Errorf("retries = %d, send_failed = %d; want 0 and 1", retries, failed)
+	}
+
+	ack.Body = Ack{Ref: "after"}
+	if err := sender.Send("/hostB/sink", ack); err != nil {
+		t.Fatalf("send after oversize refusal: %v", err)
+	}
+	pumpUntil(t, sender, receiver, func() bool { return len(got) == 2 })
+	if a, ok := got[1].Body.(*Ack); !ok || a.Ref != "after" {
+		t.Errorf("second delivery = %#v, want the follow-up ack", got[1].Body)
+	}
+	if _, reconnects, _ := sender.Resilience(); reconnects != 0 {
+		t.Errorf("reconnects = %d: the refusal cost the connection", reconnects)
+	}
+}
+
+// TestNetNotBinaryStream: a raw client that writes a JSON line to a
+// NetTransport port gets its connection closed with nothing dispatched,
+// while a binary peer connected at the same time keeps working.
+func TestNetNotBinaryStream(t *testing.T) {
+	sender, receiver := openWirePair(t)
+	var got []Message
+	receiver.Bind("/hostB/sink", "hostB", func(m Message) { receiver.Do(func() { got = append(got, m) }) })
+	if err := sender.Send("/hostB/sink", Message{From: "/hostA/src", Body: Ack{Ref: "one"}}); err != nil {
+		t.Fatal(err)
+	}
+	pumpUntil(t, sender, receiver, func() bool { return len(got) == 1 })
+
+	raw, err := net.Dial("tcp", receiver.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write([]byte(`{"from":"/raw","to":"/hostB/sink","type":"ack","body":{"ref":"json"}}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := raw.Read(make([]byte, 1))
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("raw JSON connection still open: read %d bytes, err %v", n, err)
+	}
+
+	if err := sender.Send("/hostB/sink", Message{From: "/hostA/src", Body: Ack{Ref: "two"}}); err != nil {
+		t.Fatal(err)
+	}
+	pumpUntil(t, sender, receiver, func() bool { return len(got) == 2 })
+	for i, m := range got {
+		if m.From != "/hostA/src" {
+			t.Errorf("delivery %d came from %q: a non-binary stream was dispatched", i, m.From)
+		}
+	}
+}
+
+// TestConnRecvNotBinary: Conn.Recv on a stream that does not open with
+// the frame magic fails with ErrNotBinary at once, without waiting for
+// a newline or any further bytes.
+func TestConnRecvNotBinary(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go func() { _, _ = b.Write([]byte(`{"from":"/raw","type":"ack","body":{}}`)) }()
+	c := NewConn(a)
+	if _, err := c.Recv(); !errors.Is(err, ErrNotBinary) {
+		t.Fatalf("Recv on a JSON stream = %v, want ErrNotBinary", err)
 	}
 }

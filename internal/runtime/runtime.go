@@ -5,7 +5,7 @@
 //
 //   - simulation: virtual clock (internal/sim), in-sim message bus
 //     (msg.Bus) and simulated processes (internal/sched);
-//   - live: wall clock, TCP JSON-lines transport (msg.NetTransport) and
+//   - live: wall clock, TCP binary-frame transport (msg.NetTransport) and
 //     real-process handles (LiveProc/LiveHost in this package).
 //
 // The managers depend only on these interfaces, so every diagnosis,
