@@ -127,16 +127,15 @@ bench-smoke:
 	@echo "bench-smoke: ok"
 
 # The wire-decoder fuzz gate: UnmarshalWire is the only parser of bytes
-# read off a management socket, so each msg fuzz target runs for
-# FUZZTIME on top of its seed corpus. A crash writes the failing input
-# under internal/msg/testdata/fuzz/ and fails the target.
-FUZZTIME ?= 10s
+# read off a management socket, so each msg fuzz target runs for 10 s
+# on top of its seed corpus. A crash writes the failing input under
+# internal/msg/testdata/fuzz/ and fails the target.
 FUZZ_TARGETS = FuzzUnmarshal FuzzBinaryTruncation FuzzPolicyDelta FuzzCodecRoundTrip
 
 fuzz-smoke:
 	@for f in $(FUZZ_TARGETS); do \
 		echo "fuzz-smoke: $$f"; \
-		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=$(FUZZTIME) -parallel=2 ./internal/msg || exit 1; \
+		$(GO) test -run='^$$' -fuzz="^$$f\$$" -fuzztime=10s -parallel=2 ./internal/msg || exit 1; \
 	done
 	@echo "fuzz-smoke: ok"
 

@@ -35,6 +35,7 @@ type Bus struct {
 	DroppedInvalid uint64 // decoded but failed Validate
 
 	metrics *busMetrics
+	frame   []byte // Send's encode scratch, reused (the Bus is single-threaded)
 }
 
 // busMetrics holds the bus transport's pre-resolved metric handles. The
@@ -115,7 +116,9 @@ func (b *Bus) Bound(addr string) bool { _, ok := b.handlers[addr]; return ok }
 // *SendError of kind ErrNoRoute if the destination is not currently
 // bound (so callers can detect dead managers and departed processes
 // exactly as over TCP), but a destination that unbinds while the message
-// is in flight just drops it.
+// is in flight just drops it. A message whose frame would exceed
+// MaxFrameBytes is refused with a *SendError of kind ErrInvalid wrapping
+// ErrFrameTooBig, as on a NetTransport.
 func (b *Bus) Send(addr string, m Message) error {
 	if _, ok := b.handlers[addr]; !ok {
 		return &SendError{To: addr, Kind: ErrNoRoute}
@@ -127,6 +130,14 @@ func (b *Bus) Send(addr string, m Message) error {
 		}
 		return err
 	}
+	// Encode the frame the message would cost on a socket, so that a
+	// message too big for one is refused here exactly as a NetTransport
+	// refuses it (the Bus itself delivers Message values in-process).
+	frame, err := appendBinaryFrame(b.frame[:0], addr, m)
+	if err != nil {
+		return &SendError{To: addr, Kind: ErrInvalid, Err: err}
+	}
+	b.frame = frame
 	b.Sent++
 	if b.metrics != nil {
 		b.metrics.sent.Inc()
@@ -135,21 +146,11 @@ func (b *Bus) Send(addr string, m Message) error {
 				c.Inc()
 			}
 		}
-		// Byte accounting models the frame the message would cost on a
-		// socket (the Bus delivers Message values in-process). It encodes
-		// without the trace context: tracing is out-of-band metadata and
-		// must not perturb the deterministic msg.bus.bytes counter pinned
-		// by the goldens. The encode goes through a pooled buffer — only
-		// the length is kept.
-		untraced := m
-		untraced.Trace = telemetry.TraceContext{}
-		buf := getWireBuf()
-		if data, err := appendBinaryFrame(buf[:0], "", untraced); err == nil {
-			b.metrics.bytes.Add(uint64(len(data)))
-			putWireBuf(data)
-		} else {
-			putWireBuf(buf)
-		}
+		// Byte accounting leaves out the destination address and the
+		// trace context: tracing is out-of-band metadata and must not
+		// perturb the deterministic msg.bus.bytes counter pinned by the
+		// goldens.
+		b.metrics.bytes.Add(uint64(modeledFrameLen(frame, addr, m.Trace)))
 	}
 	delay := b.remoteDelay
 	if from, to := b.hostOf[m.From], b.hostOf[addr]; from != "" && from == to {

@@ -132,10 +132,9 @@ func typeTag(body any) (string, error) {
 	return kindTags[k], nil
 }
 
-// wireBufPool recycles frame buffers between sends. Transports encode
-// into a pooled buffer, write it to the socket (or just read its length
-// for byte accounting) and return it, so the steady-state send path
-// allocates nothing for the frame.
+// wireBufPool recycles frame buffers between sends. Socket transports
+// encode into a pooled buffer, write it and return it, so the
+// steady-state send path allocates nothing for the frame.
 var wireBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
 
 func getWireBuf() []byte  { return wireBufPool.Get().([]byte) }
@@ -159,21 +158,39 @@ func MarshalWire(to string, m Message) ([]byte, error) {
 // larger than MaxFrameBytes fails with ErrFrameTooBig: every receiver
 // would reject it and drop the connection.
 func appendBinaryFrame(dst []byte, to string, m Message) ([]byte, error) {
-	payload := getWireBuf()
-	payload, err := appendBinaryPayload(payload[:0], to, m)
+	dst = append(dst, binMagic, binVersion)
+	at := len(dst)
+	dst, err := appendBinaryPayload(dst, to, m)
 	if err != nil {
-		putWireBuf(payload)
 		return nil, err
 	}
-	if len(payload) > MaxFrameBytes {
-		putWireBuf(payload)
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, len(payload))
+	n := len(dst) - at
+	if n > MaxFrameBytes {
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	dst = append(dst, binMagic, binVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	putWireBuf(payload)
+	// The payload was encoded in place; shift it right to open room for
+	// its length prefix.
+	h := uvarintLen(uint64(n))
+	dst = append(dst, make([]byte, h)...)
+	copy(dst[at+h:], dst[at:at+n])
+	binary.PutUvarint(dst[at:], uint64(n))
 	return dst, nil
+}
+
+// modeledFrameLen returns the length frame — the encoding of (to, m) —
+// would have with an empty destination and no trace context. Byte
+// counters that must not move with addressing or tracing (the
+// deterministic msg.bus.bytes) report this length, so they are derived
+// from the one encode that also decides whether m fits in a frame.
+func modeledFrameLen(frame []byte, to string, tc telemetry.TraceContext) int {
+	n, _ := binary.Uvarint(frame[2:])
+	p := int(n) - (uvarintLen(uint64(len(to))) + len(to)) + uvarintLen(0)
+	if tc.Valid() {
+		var span [binary.MaxVarintLen64]byte
+		p -= uvarintLen(uint64(len(tc.TraceID))) + len(tc.TraceID) +
+			binary.PutVarint(span[:], int64(tc.Span))
+	}
+	return 2 + uvarintLen(uint64(p)) + p
 }
 
 func appendBinaryPayload(dst []byte, to string, m Message) ([]byte, error) {

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -193,6 +194,35 @@ func TestTransportConformance(t *testing.T) {
 				pump()
 				if delivered != 1 {
 					t.Errorf("valid message not delivered after drops (delivered=%d)", delivered)
+				}
+			})
+
+			t.Run("oversize", func(t *testing.T) {
+				tr, setMetrics, pump := tc.open(t)
+				reg := telemetry.NewRegistry(func() time.Duration { return 0 })
+				setMetrics(reg)
+				delivered := 0
+				tr.Bind("/conf/sink", "conf", func(Message) { delivered++ })
+				err := tr.Send("/conf/sink", bigPolicySet(MaxFrameBytes))
+				var se *SendError
+				if !errors.As(err, &se) || se.Kind != ErrInvalid || !errors.Is(err, ErrFrameTooBig) {
+					t.Fatalf("oversize send = %v, want SendError{Kind: invalid} wrapping ErrFrameTooBig", err)
+				}
+				pump()
+				if delivered != 0 {
+					t.Errorf("handler received %d oversize messages", delivered)
+				}
+				for _, name := range []string{".sent", ".bytes"} {
+					if n := reg.Counter(tc.prefix + name).Value(); n != 0 {
+						t.Errorf("%s%s = %d after a refused send", tc.prefix, name, n)
+					}
+				}
+				if err := tr.Send("/conf/sink", Message{From: "/h/src", Body: Ack{}}); err != nil {
+					t.Errorf("valid send after the refusal: %v", err)
+				}
+				pump()
+				if delivered != 1 {
+					t.Errorf("valid message not delivered after the refusal (delivered=%d)", delivered)
 				}
 			})
 

@@ -348,6 +348,16 @@ func (t *NetTransport) Send(to string, m Message) error {
 		t.dropInvalid(to, m, err)
 		return &SendError{To: to, Kind: ErrInvalid, Err: err}
 	}
+	// One encode serves every try and both paths: a local delivery
+	// accounts the frame it would have cost, and a message too big for
+	// a frame is refused whichever way it would go.
+	buf := getWireBuf()
+	frame, err := appendBinaryFrame(buf[:0], to, m)
+	if err != nil {
+		putWireBuf(buf)
+		return t.sendFailure(to, m, 1, &SendError{To: to, Kind: ErrInvalid, Err: err})
+	}
+	defer putWireBuf(frame)
 	policy := t.retryPolicy()
 	for try := 0; ; try++ {
 		if try > 0 {
@@ -359,27 +369,34 @@ func (t *NetTransport) Send(to string, m Message) error {
 				eventlog.Str("to", to), eventlog.Int("try", try))
 			time.Sleep(policy.Delay(try, rand.Float64()))
 		}
-		err := t.trySend(to, m)
+		err := t.trySend(to, m, frame)
 		if err == nil {
 			return nil
 		}
 		var se *SendError
 		if !errors.As(err, &se) || !se.Retryable() || policy.Exhausted(try+1) {
-			t.sendFailed.Add(1)
-			if nm := t.metrics.Load(); nm != nil {
-				nm.sendFailed.Inc()
-			}
-			t.evlog.Load().EventCtx(m.Trace, eventlog.Warn, "msg", "send_failed",
-				eventlog.Str("to", to), eventlog.Int("tries", try+1),
-				eventlog.Str("error", err.Error()))
-			return err
+			return t.sendFailure(to, m, try+1, err)
 		}
 	}
 }
 
-// trySend makes one delivery attempt. Connection failures forget the
-// conn (so a retry redials) and come back as retryable *SendError.
-func (t *NetTransport) trySend(to string, m Message) error {
+// sendFailure counts and logs a send that gave up after tries attempts,
+// and returns its error.
+func (t *NetTransport) sendFailure(to string, m Message, tries int, err error) error {
+	t.sendFailed.Add(1)
+	if nm := t.metrics.Load(); nm != nil {
+		nm.sendFailed.Inc()
+	}
+	t.evlog.Load().EventCtx(m.Trace, eventlog.Warn, "msg", "send_failed",
+		eventlog.Str("to", to), eventlog.Int("tries", tries),
+		eventlog.Str("error", err.Error()))
+	return err
+}
+
+// trySend makes one delivery attempt of m, pre-encoded as frame.
+// Connection failures forget the conn (so a retry redials) and come back
+// as retryable *SendError.
+func (t *NetTransport) trySend(to string, m Message, frame []byte) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -387,7 +404,7 @@ func (t *NetTransport) trySend(to string, m Message) error {
 	}
 	if h, ok := t.handlers[to]; ok {
 		t.mu.Unlock()
-		t.countSent(m, true)
+		t.countSent(m, len(frame))
 		t.dispatch(func() {
 			t.delivered.Add(1)
 			if nm := t.metrics.Load(); nm != nil {
@@ -450,23 +467,11 @@ func (t *NetTransport) trySend(to string, m Message) error {
 		}
 	}
 
-	buf := getWireBuf()
-	data, err := appendBinaryFrame(buf[:0], to, m)
-	if err != nil {
-		putWireBuf(buf)
-		return &SendError{To: to, Kind: ErrInvalid, Err: err}
-	}
-	err = c.sendFrame(data)
-	wire := len(data)
-	putWireBuf(data)
-	if err != nil {
+	if err := c.sendFrame(frame); err != nil {
 		t.forgetConn(c)
 		return &SendError{To: to, Kind: ErrConnLost, Err: err}
 	}
-	t.countSent(m, false)
-	if nm := t.metrics.Load(); nm != nil {
-		nm.bytes.Add(uint64(wire))
-	}
+	t.countSent(m, len(frame))
 	return nil
 }
 
@@ -487,7 +492,9 @@ func (t *NetTransport) SeverConns() int {
 	return len(conns)
 }
 
-func (t *NetTransport) countSent(m Message, local bool) {
+// countSent counts one sent message whose frame is wire bytes long (a
+// local delivery counts the frame it would have cost).
+func (t *NetTransport) countSent(m Message, wire int) {
 	t.sent.Add(1)
 	nm := t.metrics.Load()
 	if nm == nil {
@@ -499,17 +506,7 @@ func (t *NetTransport) countSent(m Message, local bool) {
 			c.Inc()
 		}
 	}
-	if local {
-		// parity with Bus: local deliveries still account the bytes
-		// their frame would cost (encoded through a pooled buffer)
-		buf := getWireBuf()
-		if data, err := appendBinaryFrame(buf[:0], "", m); err == nil {
-			nm.bytes.Add(uint64(len(data)))
-			putWireBuf(data)
-		} else {
-			putWireBuf(buf)
-		}
-	}
+	nm.bytes.Add(uint64(wire))
 }
 
 func looksLikeHostPort(addr string) bool {
@@ -543,8 +540,20 @@ func (t *NetTransport) readLoop(c *Conn) {
 	for {
 		// A stream error (EOF, ErrNotBinary, ErrBadVersion, an oversize
 		// length claim) leaves no frame boundary to resync on: close.
+		// A peer that is not speaking this protocol is counted as a drop
+		// and logged, so its disappearance can be traced.
 		frame, err := c.recvFrame()
 		if err != nil {
+			if errors.Is(err, ErrNotBinary) || errors.Is(err, ErrBadVersion) ||
+				errors.Is(err, ErrFrameTooBig) {
+				t.dropped.Add(1)
+				if nm := t.metrics.Load(); nm != nil {
+					nm.dropped.Inc()
+				}
+				t.evlog.Load().Event(eventlog.Warn, "msg", "stream_rejected",
+					eventlog.Str("node", t.host), eventlog.Str("peer", c.nc.RemoteAddr().String()),
+					eventlog.Str("error", err.Error()))
+			}
 			return
 		}
 		// A complete frame whose payload does not decode is dropped; the

@@ -3,11 +3,13 @@ package msg
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"softqos/internal/sim"
 	"softqos/internal/telemetry"
+	"softqos/internal/telemetry/eventlog"
 )
 
 // Wire conformance: every transport writes and reads the one binary
@@ -122,30 +124,45 @@ func TestBusWireFormats(t *testing.T) {
 	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
 	b.SetMetrics(reg)
 	delivered := 0
-	b.Bind("/conf/sink", "conf", func(Message) { delivered++ })
+	// The short and the 200-byte address, and the trace contexts below,
+	// move the real frame's length prefix across a uvarint width while
+	// the accounted length must not move at all.
+	addrs := []string{"/conf/sink", "/conf/" + strings.Repeat("s", 200)}
+	for _, addr := range addrs {
+		b.Bind(addr, "conf", func(Message) { delivered++ })
+	}
 	msgs := allKinds()
-	msgs = append(msgs, Message{From: "/h/src",
-		Trace: telemetry.TraceContext{TraceID: "/h/src#3", Span: 1},
-		Body:  Violation{ID: Identity{Host: "h", PID: 1, Executable: "x"}, Policy: "P"}})
+	id := Identity{Host: "h", PID: 1, Executable: "x"}
+	for _, tc := range []telemetry.TraceContext{
+		{TraceID: "/h/src#3", Span: 1},
+		{TraceID: strings.Repeat("t", 300), Span: 1 << 40},
+	} {
+		msgs = append(msgs, Message{From: "/h/src", Trace: tc,
+			Body: Violation{ID: id, Policy: "P"}})
+		msgs = append(msgs, Message{From: "/h/src", Trace: tc,
+			Body: Report{Host: "h", Ref: strings.Repeat("r", 100)}})
+	}
 	var want uint64
-	for _, m := range msgs {
-		if err := b.Send("/conf/sink", m); err != nil {
-			t.Fatal(err)
+	for _, addr := range addrs {
+		for _, m := range msgs {
+			if err := b.Send(addr, m); err != nil {
+				t.Fatal(err)
+			}
+			untraced := m
+			untraced.Trace = telemetry.TraceContext{}
+			frame, err := MarshalWire("", untraced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += uint64(len(frame))
 		}
-		untraced := m
-		untraced.Trace = telemetry.TraceContext{}
-		frame, err := MarshalWire("", untraced)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want += uint64(len(frame))
 	}
 	s.RunFor(time.Second)
-	if delivered != len(msgs) {
-		t.Errorf("delivered %d of %d", delivered, len(msgs))
+	if delivered != len(addrs)*len(msgs) {
+		t.Errorf("delivered %d of %d", delivered, len(addrs)*len(msgs))
 	}
 	if got := reg.Counter("msg.bus.bytes").Value(); got != want {
-		t.Errorf("msg.bus.bytes = %d, want %d (sum of untraced frame lengths)", got, want)
+		t.Errorf("msg.bus.bytes = %d, want %d (sum of unaddressed, untraced frame lengths)", got, want)
 	}
 }
 
@@ -263,10 +280,13 @@ func TestNetOversizeFrameRefused(t *testing.T) {
 }
 
 // TestNetNotBinaryStream: a raw client that writes a JSON line to a
-// NetTransport port gets its connection closed with nothing dispatched,
-// while a binary peer connected at the same time keeps working.
+// NetTransport port gets its connection closed with nothing dispatched
+// (counted as a drop and logged as msg/stream_rejected), while a binary
+// peer connected at the same time keeps working.
 func TestNetNotBinaryStream(t *testing.T) {
 	sender, receiver := openWirePair(t)
+	lg := eventlog.New(func() time.Duration { return 0 }, 64)
+	receiver.SetEventLog(lg)
 	var got []Message
 	receiver.Bind("/hostB/sink", "hostB", func(m Message) { receiver.Do(func() { got = append(got, m) }) })
 	if err := sender.Send("/hostB/sink", Message{From: "/hostA/src", Body: Ack{Ref: "one"}}); err != nil {
@@ -287,6 +307,22 @@ func TestNetNotBinaryStream(t *testing.T) {
 	var ne net.Error
 	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
 		t.Fatalf("raw JSON connection still open: read %d bytes, err %v", n, err)
+	}
+	// The rejected stream leaves a trace: one drop and one warn record.
+	if _, _, dropped := receiver.Stats(); dropped != 1 {
+		t.Errorf("dropped = %d after one rejected stream, want 1", dropped)
+	}
+	rejected := 0
+	for _, r := range lg.Records(eventlog.Query{Component: "msg"}) {
+		if r.Code == "stream_rejected" {
+			rejected++
+			if r.Level != eventlog.Warn || !strings.Contains(r.FieldString("error"), ErrNotBinary.Error()) {
+				t.Errorf("stream_rejected record: level %v, error %q", r.Level, r.FieldString("error"))
+			}
+		}
+	}
+	if rejected != 1 {
+		t.Errorf("%d stream_rejected records, want 1", rejected)
 	}
 
 	if err := sender.Send("/hostB/sink", Message{From: "/hostA/src", Body: Ack{Ref: "two"}}); err != nil {
