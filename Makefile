@@ -100,7 +100,7 @@ BENCHTIME ?= 200ms
 
 bench:
 	( $(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) \
-	      ./internal/msg ./internal/rules ./internal/telemetry \
+	      ./internal/sim ./internal/msg ./internal/rules ./internal/telemetry \
 	      ./internal/telemetry/eventlog \
 	      ./internal/telemetry/export ./internal/netsim \
 	      ./internal/repository ./internal/agent ; \

@@ -50,10 +50,11 @@ type Snapshot struct {
 }
 
 // defaultGate names the hot-path benchmarks whose regression fails the
-// diff: the message codec, the transports, the rule engine's firing
-// path, and the flight recorder. Scenario-level macro benchmarks are
-// informational only — they are too noisy to gate on.
-const defaultGate = `^Benchmark(CodecMarshal|CodecUnmarshal|CodecRoundTrip|BusSend|NetRoundTrip|RuleFiring|AssertRetract|RetractMatching|FactsMatching|TraceAppend|InstrumentationPass|PolicyEvaluate)\b`
+// diff: the simulation event core, the message codec, the transports,
+// the rule engine's firing path, and the flight recorder. Scenario-level
+// macro benchmarks are informational only — they are too noisy to gate
+// on.
+const defaultGate = `^Benchmark(SimScheduleStep|CodecMarshal|CodecUnmarshal|CodecRoundTrip|BusSend|NetRoundTrip|RuleFiring|AssertRetract|RetractMatching|FactsMatching|TraceAppend|InstrumentationPass|PolicyEvaluate)\b`
 
 func main() {
 	dir := flag.String("dir", ".", "directory holding BENCH_<n>.json snapshots")

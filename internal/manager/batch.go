@@ -37,6 +37,7 @@ type AlarmCoalescer struct {
 	window   time.Duration
 	after    func(time.Duration, func()) // injected timer (sim After or time.AfterFunc)
 	escalate int                         // severity >= escalate flushes immediately; 0 disables
+	flushFn  func()                      // c.timerFlush, bound once so arming allocates nothing
 
 	// Summarize, when set, is invoked at flush time to attach aggregate
 	// facts to the outgoing batch (the per-tier summary that replaces
@@ -70,7 +71,7 @@ type AlarmCoalescer struct {
 // passthrough and never schedules anything.
 func NewAlarmCoalescer(tier, addr, parent string, send Send,
 	window time.Duration, after func(time.Duration, func())) *AlarmCoalescer {
-	return &AlarmCoalescer{
+	c := &AlarmCoalescer{
 		tier:    tier,
 		addr:    addr,
 		parent:  parent,
@@ -79,6 +80,8 @@ func NewAlarmCoalescer(tier, addr, parent string, send Send,
 		after:   after,
 		entries: make(map[string]*msg.BatchedAlarm),
 	}
+	c.flushFn = c.timerFlush
+	return c
 }
 
 // SetTelemetry attaches the coalescer to a metrics registry. All of its
@@ -145,7 +148,7 @@ func (c *AlarmCoalescer) AddCtx(a msg.Alarm, severity int, tc telemetry.TraceCon
 	}
 	if !c.armed {
 		c.armed = true
-		c.after(c.window, c.timerFlush)
+		c.after(c.window, c.flushFn)
 	}
 	return nil
 }

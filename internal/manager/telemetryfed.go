@@ -29,6 +29,7 @@ type SummaryExporter struct {
 
 	window time.Duration
 	after  func(time.Duration, func())
+	tickFn func() // e.tick, bound once so re-arming allocates nothing
 
 	sum *telemetry.Summary
 	seq uint64
@@ -45,10 +46,12 @@ func NewSummaryExporter(tier, addr, parent string, send Send,
 	if window <= 0 {
 		window = DefaultTelemetryWindow
 	}
-	return &SummaryExporter{
+	e := &SummaryExporter{
 		tier: tier, addr: addr, parent: parent, send: send,
 		window: window, after: after, sum: telemetry.NewSummary(),
 	}
+	e.tickFn = e.tick
+	return e
 }
 
 // Summary returns the accumulator observers record into. Handles
@@ -57,11 +60,11 @@ func (e *SummaryExporter) Summary() *telemetry.Summary { return e.sum }
 
 // Start arms the periodic flush timer. Call once, after the owning
 // component is wired to its transport.
-func (e *SummaryExporter) Start() { e.after(e.window, e.tick) }
+func (e *SummaryExporter) Start() { e.after(e.window, e.tickFn) }
 
 func (e *SummaryExporter) tick() {
 	_ = e.FlushNow()
-	e.after(e.window, e.tick)
+	e.after(e.window, e.tickFn)
 }
 
 // FlushNow closes the current window immediately: an empty window ships
@@ -106,9 +109,10 @@ type SummaryAggregator struct {
 	parent string // "" = terminal: aggregate only, never forward
 	send   Send
 
-	window time.Duration
-	after  func(time.Duration, func())
-	armed  bool
+	window  time.Duration
+	after   func(time.Duration, func())
+	flushFn func() // g.timerFlush, bound once so arming allocates nothing
+	armed   bool
 
 	win      *telemetry.Summary // current window (forwarding aggregators)
 	total    *telemetry.Summary // cumulative since start
@@ -139,13 +143,15 @@ func NewSummaryAggregator(tier, addr, parent string, send Send,
 	if window <= 0 {
 		window = DefaultTelemetryWindow
 	}
-	return &SummaryAggregator{
+	g := &SummaryAggregator{
 		tier: tier, addr: addr, parent: parent, send: send,
 		window: window, after: after,
 		win: telemetry.NewSummary(), total: telemetry.NewSummary(),
 		winHosts:  make(map[string]uint64),
 		hostsSeen: make(map[string]uint64),
 	}
+	g.flushFn = g.timerFlush
+	return g
 }
 
 // SetKeepChildren makes the aggregator keep one cumulative aggregate
@@ -198,7 +204,7 @@ func (g *SummaryAggregator) Ingest(ts msg.TelemetrySummary) {
 	g.winHosts[ts.Source] = hosts
 	if !g.armed {
 		g.armed = true
-		g.after(g.window, g.timerFlush)
+		g.after(g.window, g.flushFn)
 	}
 }
 
@@ -224,7 +230,7 @@ func (g *SummaryAggregator) AddLocal(name string, delta float64) {
 	g.win.AddCounter(name, delta)
 	if !g.armed {
 		g.armed = true
-		g.after(g.window, g.timerFlush)
+		g.after(g.window, g.flushFn)
 	}
 }
 

@@ -91,11 +91,11 @@ func BenchmarkSummaryEncode(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
 			buf := getWireBuf()
-			out, err := appendBinaryFrame(buf[:0], RegionAddrForBench, m)
+			out, err := appendBinaryFrame((*buf)[:0], RegionAddrForBench, m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			putWireBuf(out)
+			putWireBuf(buf, out)
 		}
 	})
 	b.Run("binary/unmarshal", func(b *testing.B) {
@@ -125,11 +125,11 @@ func BenchmarkCodecMarshal(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf := getWireBuf()
-				data, err := appendBinaryFrame(buf[:0], "/client-host/QoSHostManager", tc.m)
+				data, err := appendBinaryFrame((*buf)[:0], "/client-host/QoSHostManager", tc.m)
 				if err != nil {
 					b.Fatal(err)
 				}
-				putWireBuf(data)
+				putWireBuf(buf, data)
 			}
 		})
 	}
@@ -168,14 +168,14 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			buf := getWireBuf()
-			data, err := appendBinaryFrame(buf[:0], "/client-host/QoSHostManager", viol)
+			data, err := appendBinaryFrame((*buf)[:0], "/client-host/QoSHostManager", viol)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if _, _, err := UnmarshalWire(data); err != nil {
 				b.Fatal(err)
 			}
-			putWireBuf(data)
+			putWireBuf(buf, data)
 		}
 	})
 }
@@ -207,6 +207,51 @@ func BenchmarkBusSend(b *testing.B) {
 		}
 		s.Run()
 	})
+}
+
+// TestBusSendZeroAllocs pins the Bus hot path in the regular suite: a
+// steady-state Send plus its delivery of a map-free message allocates
+// nothing, with metrics (and so byte accounting) attached.
+func TestBusSendZeroAllocs(t *testing.T) {
+	s := sim.New(1)
+	bus := NewBus(s, 100*time.Microsecond, 2*time.Millisecond)
+	bus.SetMetrics(telemetry.NewRegistry(func() time.Duration { return 0 }))
+	bus.Bind("/mgr", "h", func(Message) {})
+	bus.Bind("/coord", "h2", func(Message) {})
+	m := Message{From: "/coord", Body: Ack{Ref: "boost_cpu", OK: true}}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := bus.Send("/mgr", m); err != nil {
+			t.Fatal(err)
+		}
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Bus.Send+delivery allocates %.1f per message, want 0", allocs)
+	}
+}
+
+// TestMarshalWireOneAlloc pins MarshalWire to one allocation, the frame
+// it returns, for a violation (whose readings map is key-sorted through
+// pooled scratch). Under -race sync.Pool drops Puts at random, so the
+// count is only pinned in a regular build.
+func TestMarshalWireOneAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	var viol Message
+	for _, tc := range benchMessages() {
+		if tc.name == "violation" {
+			viol = tc.m
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := MarshalWire(RegionAddrForBench, viol); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("MarshalWire(violation) allocates %.1f, want 1", allocs)
+	}
 }
 
 // BenchmarkNetRoundTrip measures a full TCP request/reply between two

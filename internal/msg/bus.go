@@ -22,12 +22,19 @@ type BusHandler = func(Message)
 // address pair. It models the prototype's message queues (same host) and
 // management sockets (cross host).
 type Bus struct {
-	sim      *sim.Simulator
-	handlers map[string]BusHandler
-	hostOf   map[string]string // address -> host, for latency selection
+	sim       *sim.Simulator
+	endpoints map[string]endpoint
 
 	localDelay  time.Duration
 	remoteDelay time.Duration
+
+	// In-flight messages, one FIFO per delay class. A class's delay is
+	// fixed, so its messages fall due in send order: each delivery event
+	// pops the head of its class's FIFO, and the callbacks are bound
+	// once in NewBus instead of a closure per message.
+	local, remote inflightQueue
+	deliverLocal  func()
+	deliverRemote func()
 
 	Sent           uint64
 	Delivered      uint64
@@ -36,6 +43,46 @@ type Bus struct {
 
 	metrics *busMetrics
 	frame   []byte // Send's encode scratch, reused (the Bus is single-threaded)
+}
+
+// endpoint is one bound address: its handler and the host it runs on
+// (for latency selection).
+type endpoint struct {
+	h    BusHandler
+	host string
+}
+
+// inflight is one message awaiting delivery.
+type inflight struct {
+	to string
+	m  Message
+}
+
+// inflightQueue is a FIFO ring of in-flight messages.
+type inflightQueue struct {
+	buf  []inflight // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (q *inflightQueue) push(f inflight) {
+	if q.n == len(q.buf) {
+		buf := make([]inflight, max(16, 2*len(q.buf)))
+		for i := range q.n {
+			buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = f
+	q.n++
+}
+
+func (q *inflightQueue) pop() inflight {
+	f := q.buf[q.head]
+	q.buf[q.head] = inflight{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return f
 }
 
 // busMetrics holds the bus transport's pre-resolved metric handles. The
@@ -64,13 +111,15 @@ func (m *busMetrics) droppedInvalid() {
 // NewBus creates a bus with the given IPC latencies: localDelay applies
 // between addresses on the same host, remoteDelay otherwise.
 func NewBus(s *sim.Simulator, localDelay, remoteDelay time.Duration) *Bus {
-	return &Bus{
+	b := &Bus{
 		sim:         s,
-		handlers:    make(map[string]BusHandler),
-		hostOf:      make(map[string]string),
+		endpoints:   make(map[string]endpoint),
 		localDelay:  localDelay,
 		remoteDelay: remoteDelay,
 	}
+	b.deliverLocal = func() { b.deliver(&b.local) }
+	b.deliverRemote = func() { b.deliver(&b.remote) }
+	return b
 }
 
 // SetMetrics attaches the bus to a metrics registry: counters for
@@ -98,19 +147,15 @@ func (b *Bus) SetMetrics(reg *telemetry.Registry) {
 // Bind attaches a handler to an address located on host. Rebinding an
 // address replaces the handler (used when a manager restarts).
 func (b *Bus) Bind(addr, host string, h BusHandler) {
-	b.handlers[addr] = h
-	b.hostOf[addr] = host
+	b.endpoints[addr] = endpoint{h, host}
 }
 
 // Unbind removes an address; in-flight messages to it are dropped at
 // delivery time.
-func (b *Bus) Unbind(addr string) {
-	delete(b.handlers, addr)
-	delete(b.hostOf, addr)
-}
+func (b *Bus) Unbind(addr string) { delete(b.endpoints, addr) }
 
 // Bound reports whether an address has a handler.
-func (b *Bus) Bound(addr string) bool { _, ok := b.handlers[addr]; return ok }
+func (b *Bus) Bound(addr string) bool { _, ok := b.endpoints[addr]; return ok }
 
 // Send delivers m to addr after the transport latency. It returns a
 // *SendError of kind ErrNoRoute if the destination is not currently
@@ -120,7 +165,8 @@ func (b *Bus) Bound(addr string) bool { _, ok := b.handlers[addr]; return ok }
 // MaxFrameBytes is refused with a *SendError of kind ErrInvalid wrapping
 // ErrFrameTooBig, as on a NetTransport.
 func (b *Bus) Send(addr string, m Message) error {
-	if _, ok := b.handlers[addr]; !ok {
+	to, ok := b.endpoints[addr]
+	if !ok {
 		return &SendError{To: addr, Kind: ErrNoRoute}
 	}
 	if err := Validate(m); err != nil {
@@ -152,24 +198,31 @@ func (b *Bus) Send(addr string, m Message) error {
 		// goldens.
 		b.metrics.bytes.Add(uint64(modeledFrameLen(frame, addr, m.Trace)))
 	}
-	delay := b.remoteDelay
-	if from, to := b.hostOf[m.From], b.hostOf[addr]; from != "" && from == to {
-		delay = b.localDelay
+	if to.host != "" && b.endpoints[m.From].host == to.host {
+		b.local.push(inflight{addr, m})
+		b.sim.After(b.localDelay, b.deliverLocal)
+	} else {
+		b.remote.push(inflight{addr, m})
+		b.sim.After(b.remoteDelay, b.deliverRemote)
 	}
-	b.sim.After(delay, func() {
-		h, ok := b.handlers[addr]
-		if !ok {
-			b.Dropped++
-			if b.metrics != nil {
-				b.metrics.dropped.Inc()
-			}
-			return
-		}
-		b.Delivered++
-		if b.metrics != nil {
-			b.metrics.delivered.Inc()
-		}
-		h(m)
-	})
 	return nil
+}
+
+// deliver hands the head of q to its destination's current handler, or
+// drops it if the destination has unbound since the send.
+func (b *Bus) deliver(q *inflightQueue) {
+	f := q.pop()
+	ep, ok := b.endpoints[f.to]
+	if !ok {
+		b.Dropped++
+		if b.metrics != nil {
+			b.metrics.dropped.Inc()
+		}
+		return
+	}
+	b.Delivered++
+	if b.metrics != nil {
+		b.metrics.delivered.Inc()
+	}
+	ep.h(f.m)
 }

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -134,21 +135,37 @@ func typeTag(body any) (string, error) {
 
 // wireBufPool recycles frame buffers between sends. Socket transports
 // encode into a pooled buffer, write it and return it, so the
-// steady-state send path allocates nothing for the frame.
-var wireBufPool = sync.Pool{New: func() any { return make([]byte, 0, 512) }}
+// steady-state send path allocates nothing for the frame. The pools
+// hold pointers: putting a slice header in an interface would allocate.
+var wireBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-func getWireBuf() []byte  { return wireBufPool.Get().([]byte) }
-func putWireBuf(b []byte) { wireBufPool.Put(b[:0]) } //nolint:staticcheck // slice header churn is fine here
+func getWireBuf() *[]byte { return wireBufPool.Get().(*[]byte) }
+
+// putWireBuf returns p to the pool, keeping b (p's buffer, possibly
+// grown) for reuse.
+func putWireBuf(p *[]byte, b []byte) {
+	*p = b[:0]
+	wireBufPool.Put(p)
+}
 
 // keyPool recycles the scratch slices used to sort map keys during
 // encoding (maps are key-sorted so equal messages encode to equal bytes
 // on every node).
-var keyPool = sync.Pool{New: func() any { return make([]string, 0, 16) }}
+var keyPool = sync.Pool{New: func() any { k := make([]string, 0, 16); return &k }}
 
 // MarshalWire encodes one routed frame, including the full
-// magic/version/length header.
+// magic/version/length header. It encodes into a pooled buffer and
+// returns an exact-size copy, so the frame is its one allocation.
 func MarshalWire(to string, m Message) ([]byte, error) {
-	return appendBinaryFrame(nil, to, m)
+	buf := getWireBuf()
+	frame, err := appendBinaryFrame((*buf)[:0], to, m)
+	if err != nil {
+		wireBufPool.Put(buf)
+		return nil, err
+	}
+	out := bytes.Clone(frame)
+	putWireBuf(buf, frame)
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -170,8 +187,9 @@ func appendBinaryFrame(dst []byte, to string, m Message) ([]byte, error) {
 	}
 	// The payload was encoded in place; shift it right to open room for
 	// its length prefix.
+	var prefix [binary.MaxVarintLen64]byte
 	h := uvarintLen(uint64(n))
-	dst = append(dst, make([]byte, h)...)
+	dst = append(dst, prefix[:h]...)
 	copy(dst[at+h:], dst[at:at+n])
 	binary.PutUvarint(dst[at:], uint64(n))
 	return dst, nil
@@ -288,7 +306,8 @@ func appendBinMap(dst []byte, m map[string]float64) []byte {
 	if len(m) == 0 {
 		return dst
 	}
-	keys := keyPool.Get().([]string)[:0]
+	kp := keyPool.Get().(*[]string)
+	keys := (*kp)[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -297,7 +316,8 @@ func appendBinMap(dst []byte, m map[string]float64) []byte {
 		dst = appendBinString(dst, k)
 		dst = appendBinF64(dst, m[k])
 	}
-	keyPool.Put(keys[:0]) //nolint:staticcheck
+	*kp = keys[:0]
+	keyPool.Put(kp)
 	return dst
 }
 

@@ -149,6 +149,42 @@ func TestBusUnbindDropsInFlight(t *testing.T) {
 	if b.Dropped != 1 {
 		t.Errorf("Dropped = %d, want 1", b.Dropped)
 	}
+
+	// Interleaved local (1ms) and remote (3ms) sends, then an
+	// Unbind→Bind at 2ms while both classes are in flight: the local
+	// ones fall due while unbound and drop; the remote ones, and sends
+	// made after the rebind, reach the new handler in per-class send
+	// order.
+	s = sim.New(1)
+	b = NewBus(s, time.Millisecond, 3*time.Millisecond)
+	var got []string
+	b.Bind("/near", "h", func(Message) {})
+	b.Bind("/far", "h2", func(Message) {})
+	b.Bind("/mgr", "h", func(m Message) { got = append(got, "old:"+m.Body.(Ack).Ref) })
+	send := func(from, ref string) {
+		t.Helper()
+		if err := b.Send("/mgr", Message{From: from, Body: Ack{Ref: ref}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send("/near", "L1")
+	send("/far", "R1")
+	send("/near", "L2")
+	send("/far", "R2")
+	b.Unbind("/mgr")
+	s.After(2*time.Millisecond, func() {
+		b.Bind("/mgr", "h", func(m Message) { got = append(got, fmt.Sprintf("new:%s@%v", m.Body.(Ack).Ref, s.Now())) })
+		send("/far", "R3")
+		send("/near", "L3")
+	})
+	s.Run()
+	want := []string{"new:R1@3ms", "new:R2@3ms", "new:L3@3ms", "new:R3@5ms"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("deliveries = %v, want %v", got, want)
+	}
+	if b.Dropped != 2 || b.Delivered != 4 || b.Sent != 6 {
+		t.Errorf("Sent/Delivered/Dropped = %d/%d/%d, want 6/4/2", b.Sent, b.Delivered, b.Dropped)
+	}
 }
 
 func TestBusRebindReplacesHandler(t *testing.T) {
@@ -161,6 +197,32 @@ func TestBusRebindReplacesHandler(t *testing.T) {
 	s.Run()
 	if got != "new" {
 		t.Errorf("handler = %q, want new", got)
+	}
+
+	// A rebind while local and remote messages are in flight hands every
+	// one still undelivered to the new handler, each class in send order.
+	s = sim.New(1)
+	b = NewBus(s, time.Millisecond, 2*time.Millisecond)
+	var log []string
+	handler := func(name string) BusHandler {
+		return func(m Message) { log = append(log, fmt.Sprintf("%s:%s@%v", name, m.Body.(Ack).Ref, s.Now())) }
+	}
+	b.Bind("/near", "h", func(Message) {})
+	b.Bind("/far", "h2", func(Message) {})
+	b.Bind("/mgr", "h", handler("old"))
+	for i, from := range []string{"/far", "/near", "/far", "/near"} {
+		if err := b.Send("/mgr", Message{From: from, Body: Ack{Ref: fmt.Sprint(from[1:], i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.After(time.Millisecond+time.Microsecond, func() { b.Bind("/mgr", "h", handler("new")) })
+	s.Run()
+	want := []string{"old:near1@1ms", "old:near3@1ms", "new:far0@2ms", "new:far2@2ms"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("deliveries = %v, want %v", log, want)
+	}
+	if b.Dropped != 0 || b.Delivered != 4 {
+		t.Errorf("Delivered/Dropped = %d/%d, want 4/0", b.Delivered, b.Dropped)
 	}
 }
 

@@ -80,14 +80,14 @@ func Dial(addr string) (*Conn, error) {
 // not allocate.
 func (c *Conn) Send(m Message) error {
 	buf := getWireBuf()
-	data, err := appendBinaryFrame(buf[:0], "", m)
+	data, err := appendBinaryFrame((*buf)[:0], "", m)
 	if err != nil {
-		putWireBuf(buf)
+		wireBufPool.Put(buf)
 		return err
 	}
 	err = c.sendFrame(data)
 	wire := len(data)
-	putWireBuf(data)
+	putWireBuf(buf, data)
 	if err != nil {
 		return err
 	}

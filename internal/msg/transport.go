@@ -352,12 +352,12 @@ func (t *NetTransport) Send(to string, m Message) error {
 	// accounts the frame it would have cost, and a message too big for
 	// a frame is refused whichever way it would go.
 	buf := getWireBuf()
-	frame, err := appendBinaryFrame(buf[:0], to, m)
+	frame, err := appendBinaryFrame((*buf)[:0], to, m)
 	if err != nil {
-		putWireBuf(buf)
+		wireBufPool.Put(buf)
 		return t.sendFailure(to, m, 1, &SendError{To: to, Kind: ErrInvalid, Err: err})
 	}
-	defer putWireBuf(frame)
+	defer putWireBuf(buf, frame)
 	policy := t.retryPolicy()
 	for try := 0; ; try++ {
 		if try > 0 {

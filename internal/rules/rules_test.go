@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,32 @@ func TestSexprReader(t *testing.T) {
 	}
 	if s := forms[1].String(); s != `(deffacts init (a 1) (a "two") (neg -3.5))` {
 		t.Errorf("round trip = %s", s)
+	}
+}
+
+// TestSexprNumberTokens pins the reader's number/symbol split to
+// strconv.ParseFloat: a token is a number exactly when ParseFloat
+// accepts it, including the inf/nan spellings and hex floats.
+func TestSexprNumberTokens(t *testing.T) {
+	for _, tok := range []string{
+		"1", "-1", "+.5", ".5", "1e3", "1E-3", "0x1p-2", "1_0", "0x_1p0",
+		"inf", "-Inf", "+infinity", "Infinity", "NaN", "nan", "-nan", "+NaN",
+		"-", "+", ".", "-.", "x", "-x", "?x", "i", "n", "info", "nano", "_1", "e5", "--1",
+	} {
+		forms, err := readAll(tok)
+		if err != nil || len(forms) != 1 || forms[0].atom == nil {
+			t.Fatalf("readAll(%q) = %v, %v", tok, forms, err)
+		}
+		f, perr := strconv.ParseFloat(tok, 64)
+		got := *forms[0].atom
+		if perr == nil {
+			want := Num(f)
+			if got.Kind != want.Kind || got.String() != want.String() {
+				t.Errorf("%q read as %v, want number %v", tok, got, want)
+			}
+		} else if got.Kind != SymbolKind || got.Sym != tok {
+			t.Errorf("%q read as %v, want symbol", tok, got)
+		}
 	}
 }
 

@@ -155,11 +155,24 @@ func (r *reader) read() (sexpr, error) {
 		if tok == "" {
 			return sexpr{}, r.errf("empty token")
 		}
-		if f, err := strconv.ParseFloat(tok, 64); err == nil && tok != "-" && tok != "+" {
-			v := Num(f)
-			return sexpr{atom: &v, line: line}, nil
+		if mayBeNumber(tok) {
+			if f, err := strconv.ParseFloat(tok, 64); err == nil {
+				v := Num(f)
+				return sexpr{atom: &v, line: line}, nil
+			}
 		}
 		v := Sym(tok)
 		return sexpr{atom: &v, line: line}, nil
 	}
+}
+
+// mayBeNumber reports whether tok, after an optional sign, starts with a
+// digit, '.', or the first letter of "inf"/"infinity"/"nan". Every string
+// strconv.ParseFloat accepts does, so symbols skip the failing parse and
+// its error allocation.
+func mayBeNumber(tok string) bool {
+	if tok[0] == '+' || tok[0] == '-' {
+		tok = tok[1:]
+	}
+	return tok != "" && strings.IndexByte("0123456789.iInN", tok[0]) >= 0
 }

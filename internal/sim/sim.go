@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -32,69 +31,73 @@ func (t Time) String() string { return time.Duration(t).String() }
 // At returns the Time corresponding to a duration from simulation start.
 func At(d time.Duration) Time { return Time(d) }
 
-// event is one pending callback.
-type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among equal timestamps
-	fn   func()
-	dead bool // cancelled
-	idx  int  // heap index, -1 once popped
+// key orders events: by virtual time, then FIFO among equal timestamps.
+type key struct {
+	at  Time
+	seq uint64
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
+func (k key) before(o key) bool { return k.at < o.at || k.at == o.at && k.seq < o.seq }
+
+// event is one pending callback. The queue holds events by value, so
+// scheduling allocates nothing per event.
+type event struct {
+	key
+	fn func()
+}
+
+// EventID identifies a scheduled event so it can be cancelled. It is the
+// event's queue key. When an event fires, every event keyed before it has
+// left the queue, and every event scheduled later is keyed after it. So an
+// event is pending exactly when its key is after the last fired one and
+// it has not been cancelled.
+type EventID struct {
+	sim *Simulator
+	key
+}
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. It reports whether the event was
 // still pending.
 func (id EventID) Cancel() bool {
-	if id.ev == nil || id.ev.dead || id.ev.idx < 0 {
+	if !id.Pending() {
 		return false
 	}
-	id.ev.dead = true
+	s := id.sim
+	if s.cancelled == nil {
+		s.cancelled = make(map[uint64]struct{})
+	}
+	s.cancelled[id.seq] = struct{}{}
 	return true
 }
 
 // Pending reports whether the event has neither fired nor been cancelled.
-func (id EventID) Pending() bool { return id.ev != nil && !id.ev.dead && id.ev.idx >= 0 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (id EventID) Pending() bool {
+	if id.sim == nil || !id.sim.last.before(id.key) {
+		return false
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
+	_, dead := id.sim.cancelled[id.seq]
+	return !dead
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; simulated concurrency is expressed as events.
 type Simulator struct {
 	now     Time
-	queue   eventHeap
-	seq     uint64
+	queue   []event // binary min-heap on key
+	seq     uint64  // last assigned; the first event gets 1
+	last    key     // key of the last event fired; zero before any
 	rng     *rand.Rand
 	stopped bool
 	fired   uint64
+
+	// cancelled holds the seq of every cancelled event keyed after last.
+	// A cancelled event is reaped (popped unfired) when it reaches the
+	// head of the queue, and may be reaped ahead of the clock; its entry
+	// stays until an event keyed after it fires, so its EventID keeps
+	// reporting not pending. reaped lists those entries.
+	cancelled map[uint64]struct{}
+	reaped    []key
 }
 
 // New returns a Simulator whose RNG is seeded with seed, at virtual time 0.
@@ -122,10 +125,10 @@ func (s *Simulator) Schedule(at Time, fn func()) EventID {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return EventID{ev}
+	k := key{at, s.seq}
+	s.push(event{k, fn})
+	return EventID{s, k}
 }
 
 // After runs fn after duration d from the current time.
@@ -143,6 +146,7 @@ func (s *Simulator) Every(interval time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
 	}
 	t := &Ticker{sim: s, interval: interval, fn: fn}
+	t.tickFn = t.tick
 	t.arm()
 	return t
 }
@@ -152,20 +156,21 @@ type Ticker struct {
 	sim      *Simulator
 	interval time.Duration
 	fn       func()
+	tickFn   func() // t.tick, bound once so re-arming allocates nothing
 	id       EventID
 	stopped  bool
 }
 
-func (t *Ticker) arm() {
-	t.id = t.sim.After(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped { // fn may have stopped the ticker
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.id = t.sim.After(t.interval, t.tickFn) }
+
+func (t *Ticker) tick() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped { // fn may have stopped the ticker
+		t.arm()
+	}
 }
 
 // Stop cancels future firings.
@@ -184,12 +189,17 @@ func (s *Simulator) Stop() { s.stopped = true }
 // reports false when no events remain.
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.dead {
+		ev := s.pop()
+		if s.isCancelled(ev.seq) {
+			s.reaped = append(s.reaped, ev.key)
 			continue
 		}
 		s.now = ev.at
+		s.last = ev.key
 		s.fired++
+		if len(s.reaped) > 0 {
+			s.forgetReaped()
+		}
 		ev.fn()
 		return true
 	}
@@ -225,11 +235,82 @@ func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + Time(d)) }
 
 func (s *Simulator) peek() (Time, bool) {
 	for len(s.queue) > 0 {
-		if s.queue[0].dead {
-			heap.Pop(&s.queue)
+		if s.isCancelled(s.queue[0].seq) {
+			s.reaped = append(s.reaped, s.pop().key)
 			continue
 		}
 		return s.queue[0].at, true
 	}
 	return 0, false
+}
+
+func (s *Simulator) isCancelled(seq uint64) bool {
+	if len(s.cancelled) == 0 {
+		return false
+	}
+	_, dead := s.cancelled[seq]
+	return dead
+}
+
+// forgetReaped drops the cancelled entries of reaped events now keyed at
+// or before the last fired one: their keys alone mark them not pending.
+func (s *Simulator) forgetReaped() {
+	kept := s.reaped[:0]
+	for _, k := range s.reaped {
+		if s.last.before(k) {
+			kept = append(kept, k)
+		} else {
+			delete(s.cancelled, k.seq)
+		}
+	}
+	s.reaped = kept
+}
+
+// push adds ev to the heap, sifting a hole up from the new leaf.
+func (s *Simulator) push(ev event) {
+	q := append(s.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p].key) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+	s.queue = q
+}
+
+// pop removes and returns the earliest event. The queue must be
+// non-empty.
+func (s *Simulator) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	ev := q[n]
+	q[n] = event{} // release fn
+	q = q[:n]
+	if n > 0 {
+		// Sift a hole down from the root and drop the former last leaf
+		// into it.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c].key) {
+				c = r
+			}
+			if !q[c].before(ev.key) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = ev
+	}
+	s.queue = q
+	return top
 }
