@@ -55,9 +55,6 @@ type (
 	Identity = msg.Identity
 )
 
-// ParsePolicies parses policy source text (one or more oblig blocks).
-func ParsePolicies(src string) ([]*Policy, error) { return policy.Parse(src) }
-
 // ParsePolicy parses exactly one policy.
 func ParsePolicy(src string) (*Policy, error) { return policy.ParseOne(src) }
 

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"softqos"
 	"softqos/internal/faults"
 	"softqos/internal/instrument"
 	"softqos/internal/loadgen"
@@ -107,25 +108,27 @@ func overhead() {
 	must(svc.StorePolicy(p, repository.PolicyMeta{
 		Application: "VideoApplication", Executable: "mpeg_play"}))
 
-	agentSrv, err := serveLiveAgent(svc)
+	agent, err := softqos.ServeLiveAgent("127.0.0.1:0", svc)
 	must(err)
-	defer agentSrv.Close()
+	defer agent.Close()
 
+	// Each iteration is one instrumented process start: a fresh
+	// coordinator with the Example 1 sensors dials the policy agent,
+	// registers and installs the policy set it gets back.
 	const initIters = 500
 	start := time.Now()
 	for i := 0; i < initIters; i++ {
-		c, err := msg.Dial(agentSrv.Addr())
-		must(err)
-		id := msg.Identity{Host: "bench", PID: i, Executable: "mpeg_play",
-			Application: "VideoApplication"}
-		must(c.Send(msg.Message{From: "/bench", Body: msg.Register{
-			ID: id, Sensors: []string{"fps_sensor", "jitter_sensor", "buffer_sensor"}}}))
-		reply, err := c.Recv()
-		must(err)
-		if _, ok := reply.Body.(*msg.PolicySet); !ok {
-			must(fmt.Errorf("unexpected reply %T", reply.Body))
+		lc := softqos.NewLiveCoordinator(msg.Identity{Host: "bench", PID: i,
+			Executable: "mpeg_play", Application: "VideoApplication"}, agent.Addr(), "")
+		clk := lc.WallClock()
+		lc.AddSensor(instrument.NewRateSensor("fps_sensor", "frame_rate", clk, time.Second))
+		lc.AddSensor(instrument.NewJitterSensor("jitter_sensor", "jitter_rate", clk, 33333*time.Microsecond))
+		lc.AddSensor(instrument.NewValueSensor("buffer_sensor", "buffer_size", nil))
+		must(lc.Register())
+		if len(lc.Policies()) == 0 {
+			must(fmt.Errorf("registration %d installed no policy", i))
 		}
-		_ = c.Close()
+		lc.Close()
 	}
 	initCost := time.Since(start) / initIters
 
@@ -158,24 +161,6 @@ func overhead() {
 	fmt.Printf("%-42s %-14s %s\n", "measurement", "this repo", "paper (UltraSparc, 2000)")
 	fmt.Printf("%-42s %-14s %s\n", "process init + registration", initCost.Round(time.Microsecond).String(), "~400 us")
 	fmt.Printf("%-42s %-14s %s\n", "one instrumentation pass (QoS met)", passCost.String(), "~11 us")
-}
-
-type liveAgentSrv struct{ srv *msg.Server }
-
-func (s *liveAgentSrv) Addr() string { return s.srv.Addr() }
-func (s *liveAgentSrv) Close()       { _ = s.srv.Close() }
-
-func serveLiveAgent(svc *repository.Service) (*liveAgentSrv, error) {
-	srv, err := msg.Serve("127.0.0.1:0", func(c *msg.Conn, m msg.Message) {
-		if reg, ok := m.Body.(*msg.Register); ok {
-			specs, _ := svc.PoliciesFor(reg.ID)
-			_ = c.Send(msg.Message{From: "/agent", Body: msg.PolicySet{ID: reg.ID, Policies: specs}})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &liveAgentSrv{srv}, nil
 }
 
 // locate exercises violation location (ablation A1): three fault kinds,

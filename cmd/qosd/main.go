@@ -72,18 +72,18 @@ func main() {
 	case "videostream", "single":
 		run(scenario.Build(scenario.Config{
 			Seed: *seed, ClientLoad: *load, Managed: *managed,
-			Observe: *reportTo != "", EventLog: *reportTo != "",
+			Observe: *reportTo != "",
 			Faults:  loadFaults()}), 30*time.Second)
 	case "server-fault":
 		run(scenario.Build(scenario.Config{
 			Seed: *seed, Managed: *managed, ServerLoad: 4, Faults: loadFaults(),
-			Observe: *reportTo != "", EventLog: *reportTo != "",
+			Observe: *reportTo != "",
 			Stream: video.StreamConfig{ServerCost: 34 * time.Millisecond,
 				DecodeCost: 10 * time.Millisecond}}), 30*time.Second)
 	case "network-fault":
 		sys := scenario.Build(scenario.Config{
 			Seed: *seed, Managed: *managed, BackupRoute: true, Faults: loadFaults(),
-			Observe: *reportTo != "", EventLog: *reportTo != "",
+			Observe: *reportTo != "",
 			Stream:  video.StreamConfig{DecodeCost: 10 * time.Millisecond}})
 		sys.Sim.RunFor(30 * time.Second)
 		sys.CongestNetwork(6.0)

@@ -119,9 +119,6 @@ type Coordinator struct {
 	// Telemetry (optional; see SetTelemetry).
 	metrics *coordMetrics
 	tracer  *telemetry.Tracer
-	// noPropagate suppresses trace contexts on outgoing violation
-	// reports (see SetTracePropagation).
-	noPropagate bool
 
 	// registered flips when a PolicySet lands; a re-registration loop
 	// polls it to survive agent restarts. hbSeq numbers heartbeats.
@@ -174,12 +171,6 @@ func (c *Coordinator) Address() string { return c.id.Address() + "/qosl_coordina
 
 // SetNotifyInterval adjusts violation-report pacing.
 func (c *Coordinator) SetNotifyInterval(d time.Duration) { c.notifyEvery = d }
-
-// SetTracePropagation controls whether violation reports carry the
-// violation trace's context on the wire so downstream managers extend
-// the same causal tree (the default). Disabling it restores pre-tracing
-// wire frames byte for byte; local span recording is unaffected.
-func (c *Coordinator) SetTracePropagation(on bool) { c.noPropagate = !on }
 
 // SetPredictionHorizon makes every installed policy condition predictive:
 // sensors evaluate values extrapolated d along their trend, so the
@@ -496,19 +487,18 @@ func (c *Coordinator) runActions(po *policyObj, overshoot bool) {
 					subject, po.spec.Name, "coordinator",
 					telemetry.StageNotify, "report -> "+c.managerAddr)
 			}
-			report := msg.Message{
-				From: c.Address(),
+			// The report carries the violation trace's context, so the
+			// downstream managers extend the same causal tree.
+			_ = c.send(c.managerAddr, msg.Message{
+				From:  c.Address(),
+				Trace: tc,
 				Body: msg.Violation{
 					ID:        c.id,
 					Policy:    po.spec.Name,
 					Readings:  out,
 					Overshoot: overshoot,
 				},
-			}
-			if !c.noPropagate {
-				report.Trace = tc
-			}
-			_ = c.send(c.managerAddr, report)
+			})
 		}
 	}
 }

@@ -233,11 +233,7 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 				Host: "server-host", Values: map[string]float64{"cpu_load": 3.5}, Ref: q.Ref}})
 		}
 	}
-	srv, err := Serve("127.0.0.1:0", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveConns(t, echo)
 
 	c, err := Dial(srv.Addr())
 	if err != nil {
@@ -261,13 +257,9 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 }
 
 func TestTCPMultipleMessagesOneConn(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, m Message) {
+	srv := serveConns(t, func(c *Conn, m Message) {
 		_ = c.Send(m) // echo verbatim
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -289,11 +281,7 @@ func TestTCPMultipleMessagesOneConn(t *testing.T) {
 }
 
 func TestTCPConcurrentClients(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, m Message) { _ = c.Send(m) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveConns(t, func(c *Conn, m Message) { _ = c.Send(m) })
 	const clients = 8
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
@@ -331,10 +319,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 }
 
 func TestTCPServerCloseUnblocksClients(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func(*Conn, Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveConns(t, func(*Conn, Message) {})
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +330,7 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 		_, err := c.Recv()
 		done <- err
 	}()
-	_ = srv.Close()
+	srv.Close()
 	select {
 	case err := <-done:
 		if err == nil {

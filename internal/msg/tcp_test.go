@@ -2,22 +2,88 @@ package msg
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
-
-	"softqos/internal/telemetry"
 )
 
-// echoServer starts a loopback server that echoes every message verbatim.
-func echoServer(t *testing.T) (*Server, *Conn) {
+// connServer accepts message connections on a loopback port and runs a
+// handler for every inbound message on the connection's reader
+// goroutine; the handler may reply on the connection.
+type connServer struct {
+	ln net.Listener
+	wg sync.WaitGroup
+
+	mu     sync.Mutex
+	closed bool
+	conns  []*Conn
+}
+
+// serveConns starts a connServer that is closed when the test ends.
+func serveConns(t *testing.T, handler func(*Conn, Message)) *connServer {
 	t.Helper()
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, m Message) { _ = c.Send(m) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = srv.Close() })
+	s := &connServer{ln: ln}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			c := NewConn(nc)
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				_ = c.Close()
+				return
+			}
+			s.conns = append(s.conns, c)
+			s.wg.Add(1)
+			s.mu.Unlock()
+			go func() {
+				defer s.wg.Done()
+				defer c.Close()
+				for {
+					m, err := c.Recv()
+					if err != nil {
+						return
+					}
+					handler(c, m)
+				}
+			}()
+		}
+	}()
+	t.Cleanup(s.Close)
+	return s
+}
+
+func (s *connServer) Addr() string { return s.ln.Addr().String() }
+
+// Close stops accepting, closes every connection and waits for the
+// reader goroutines to exit.
+func (s *connServer) Close() {
+	s.mu.Lock()
+	s.closed = true
+	conns := s.conns
+	s.mu.Unlock()
+	_ = s.ln.Close()
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	s.wg.Wait()
+}
+
+// echoServer starts a loopback server that echoes every message verbatim.
+func echoServer(t *testing.T) (*connServer, *Conn) {
+	t.Helper()
+	srv := serveConns(t, func(c *Conn, m Message) { _ = c.Send(m) })
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +144,7 @@ func TestTCPLoopbackAllMessageTypes(t *testing.T) {
 func TestTCPConcurrentSendersOneConn(t *testing.T) {
 	const senders, perSender = 8, 25
 	received := make(chan string, senders*perSender)
-	srv, err := Serve("127.0.0.1:0", func(_ *Conn, m Message) {
+	srv := serveConns(t, func(_ *Conn, m Message) {
 		a, ok := m.Body.(*Ack)
 		if !ok {
 			received <- fmt.Sprintf("corrupt body %T", m.Body)
@@ -86,10 +152,6 @@ func TestTCPConcurrentSendersOneConn(t *testing.T) {
 		}
 		received <- a.Ref
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +203,7 @@ func firstKey(m map[string]bool) string {
 func TestTCPRecvErrorOnPeerClose(t *testing.T) {
 	// Server hangs up as soon as the first message arrives; the client's
 	// blocked Recv must fail rather than hang.
-	srv, err := Serve("127.0.0.1:0", func(c *Conn, _ Message) { _ = c.Close() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveConns(t, func(c *Conn, _ Message) { _ = c.Close() })
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -166,32 +224,5 @@ func TestTCPRecvErrorOnPeerClose(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Recv not unblocked by peer close")
-	}
-}
-
-func TestTCPConnMetricsCountTraffic(t *testing.T) {
-	_, c := echoServer(t)
-	reg := telemetry.NewRegistry(nil)
-	c.SetMetrics(reg)
-	const n = 5
-	for i := 0; i < n; i++ {
-		if err := c.Send(Message{From: "/c", Body: Query{Ref: fmt.Sprintf("q%d", i)}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Recv(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Counter("msg.tcp.sent").Value(); got != n {
-		t.Errorf("msg.tcp.sent = %d, want %d", got, n)
-	}
-	if got := reg.Counter("msg.tcp.received").Value(); got != n {
-		t.Errorf("msg.tcp.received = %d, want %d", got, n)
-	}
-	if got := reg.Counter("msg.tcp.sent.query").Value(); got != n {
-		t.Errorf("msg.tcp.sent.query = %d, want %d", got, n)
-	}
-	if reg.Counter("msg.tcp.sent_bytes").Value() == 0 || reg.Counter("msg.tcp.recv_bytes").Value() == 0 {
-		t.Error("byte counters did not advance")
 	}
 }

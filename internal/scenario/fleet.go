@@ -28,6 +28,21 @@ import (
 // RegionAddr is the region manager's management address in fleet runs.
 const RegionAddr = "/mgmt/QoSRegionManager"
 
+// Fixed parameters of fleet runs.
+const (
+	// fleetHeartbeatPeriod paces host and domain heartbeats.
+	fleetHeartbeatPeriod = 15 * time.Second
+	// fleetLoadThreshold is the cpu_load at which a host raises an alarm;
+	// it matches manager.DefaultDomainRules' cpu-load-threshold and the
+	// region manager's default rebalance threshold.
+	fleetLoadThreshold = 2.0
+	// fleetSevereSpike marks a spike severe: its alarm flushes the uplink
+	// batch immediately instead of waiting out the window.
+	fleetSevereSpike = 4.0
+	// fleetLivenessTimeout arms per-tier liveness sweeps.
+	fleetLivenessTimeout = 10 * time.Second
+)
+
 // FleetConfig parameterizes a fleet run.
 type FleetConfig struct {
 	// Seed drives all randomness (default 1).
@@ -46,23 +61,9 @@ type FleetConfig struct {
 	NoBatching  bool
 	// SampleEvery paces each host's load sampling (default 5s).
 	SampleEvery time.Duration
-	// HeartbeatEvery paces host and domain heartbeats (default 15s).
-	HeartbeatEvery time.Duration
 	// SpikeProb is the per-sample probability a calm host spikes
 	// (default 0.02).
 	SpikeProb float64
-	// LoadThreshold is the cpu_load at which a host raises an alarm and
-	// the domain rules indict the host (default 2.0, matching
-	// manager.DefaultDomainRules' cpu-load-threshold).
-	LoadThreshold float64
-	// SevereLoad marks a spike severe: its alarm flushes the uplink batch
-	// immediately instead of waiting out the window (default 4.0).
-	SevereLoad float64
-	// SaturationThreshold is the region's probe trigger on a domain's
-	// alarms-per-host-per-window summary (default 0.02).
-	SaturationThreshold float64
-	// LivenessTimeout arms per-tier liveness sweeps (default 10s).
-	LivenessTimeout time.Duration
 	// Trace attaches a tracer (small fleets only: traces are capped and
 	// 10k hosts would just churn the ring).
 	Trace bool
@@ -85,12 +86,6 @@ type FleetConfig struct {
 	// window flushes host→domain→region instead of adding messages.
 	// Off by default; disabled, every record site is a nil no-op.
 	EventLog bool
-	// LogCapacity bounds the shared ring under EventLog (default
-	// eventlog.DefaultCapacity).
-	LogCapacity int
-	// LogEvery keeps 1-in-LogEvery sub-warning records per (component,
-	// code) under EventLog, seeded from Seed. 0 or 1 keeps everything.
-	LogEvery int
 	// Federate arms the federated telemetry plane: each host ships a
 	// per-window msg.TelemetrySummary to its domain, each domain merges
 	// and re-ships one per window to the region, and the region holds
@@ -124,23 +119,8 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 5 * time.Second
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 15 * time.Second
-	}
 	if c.SpikeProb <= 0 {
 		c.SpikeProb = 0.02
-	}
-	if c.LoadThreshold <= 0 {
-		c.LoadThreshold = 2.0
-	}
-	if c.SevereLoad <= 0 {
-		c.SevereLoad = 4.0
-	}
-	if c.SaturationThreshold <= 0 {
-		c.SaturationThreshold = 0.02
-	}
-	if c.LivenessTimeout <= 0 {
-		c.LivenessTimeout = 10 * time.Second
 	}
 	if c.TelemetryWindow <= 0 {
 		c.TelemetryWindow = manager.DefaultTelemetryWindow
@@ -219,7 +199,7 @@ func (h *fleetHost) sample() {
 		h.load = h.baseline + rng.Float64()*0.4 - 0.2
 		if rng.Float64() < h.sys.Cfg.SpikeProb {
 			h.spiked = true
-			h.load = h.sys.Cfg.LoadThreshold + 0.5 + rng.Float64()*(h.sys.Cfg.SevereLoad-h.sys.Cfg.LoadThreshold)
+			h.load = fleetLoadThreshold + 0.5 + rng.Float64()*(fleetSevereSpike-fleetLoadThreshold)
 		}
 	}
 	for i := range h.procCPU {
@@ -275,7 +255,7 @@ func (h *fleetHost) answer(q msg.Query, tc telemetry.TraceContext) {
 		case "cpu_load", "run_queue":
 			values[k] = h.load
 		case "mem_usage":
-			values[k] = 0.4 + 0.1*h.load/h.sys.Cfg.LoadThreshold
+			values[k] = 0.4 + 0.1*h.load/fleetLoadThreshold
 		default:
 			const p = "proc_cpu:"
 			if len(k) > len(p) && k[:len(p)] == p {
@@ -446,19 +426,14 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 	send := msg.SendFunc(sys.Bus.Send)
 
 	if cfg.EventLog {
-		sys.Log = eventlog.New(sys.Metrics.Clock(), cfg.LogCapacity)
+		sys.Log = eventlog.New(sys.Metrics.Clock(), 0)
 		sys.Log.SetMetrics(sys.Metrics)
-		if cfg.LogEvery > 1 {
-			sys.Log.SetSampling(cfg.LogEvery, cfg.Seed)
-		}
 	}
 
 	// Tier 3: the region manager.
 	sys.Region = manager.NewRegionManager(RegionAddr, send)
-	sys.Region.SaturationThreshold = cfg.SaturationThreshold
-	sys.Region.LoadThreshold = cfg.LoadThreshold
 	sys.Region.SetTelemetry(sys.Metrics, sys.Tracer)
-	sys.Region.EnableLiveness(sys.Metrics.Clock(), 2*cfg.HeartbeatEvery)
+	sys.Region.EnableLiveness(sys.Metrics.Clock(), 2*fleetHeartbeatPeriod)
 	sys.Bus.Bind(RegionAddr, "mgmt", func(m msg.Message) { sys.Region.HandleMessage(m) })
 	if cfg.Federate {
 		// The region's terminal aggregator holds the fleet view with
@@ -486,11 +461,11 @@ func BuildFleet(cfg FleetConfig) *FleetSystem {
 		fd.dm = manager.NewDomainManager(addr, send)
 		fd.dm.SetTier(manager.TierDomain)
 		fd.dm.SetTelemetry(sys.Metrics, sys.Tracer)
-		fd.dm.EnableLiveness(sys.Metrics.Clock(), cfg.LivenessTimeout)
+		fd.dm.EnableLiveness(sys.Metrics.Clock(), fleetLivenessTimeout)
 		// Hosts beat slowly; their roster tolerates two missed beats.
-		fd.dm.SetHostTimeout(2*cfg.HeartbeatEvery + time.Second)
+		fd.dm.SetHostTimeout(2*fleetHeartbeatPeriod + time.Second)
 		fd.dm.SeverityFor = func(a msg.Alarm) int {
-			if a.Readings["cpu_load"] >= cfg.SevereLoad {
+			if a.Readings["cpu_load"] >= fleetSevereSpike {
 				return 2
 			}
 			return 1
@@ -643,15 +618,15 @@ func (sys *FleetSystem) Start() {
 			_ = sys.Bus.Send(RegionAddr, msg.Message{From: fd.addr,
 				Body: msg.Register{ID: msg.Identity{Host: fd.name}}})
 		})
-		s.Every(cfg.LivenessTimeout/2, func() { fd.dm.CheckLiveness() })
+		s.Every(fleetLivenessTimeout/2, func() { fd.dm.CheckLiveness() })
 		seq := uint64(0)
-		s.Every(cfg.HeartbeatEvery, func() {
+		s.Every(fleetHeartbeatPeriod, func() {
 			seq++
 			_ = sys.Bus.Send(RegionAddr, msg.Message{From: fd.addr,
 				Body: msg.Heartbeat{ID: msg.Identity{Host: fd.name, PID: 1}, Seq: seq}})
 		})
 	}
-	s.Every(cfg.LivenessTimeout/2, func() { sys.Region.CheckLiveness() })
+	s.Every(fleetLivenessTimeout/2, func() { sys.Region.CheckLiveness() })
 	if sys.Flight != nil {
 		s.Every(cfg.SampleEvery, sys.Flight.Sample)
 	}
@@ -666,10 +641,10 @@ func (sys *FleetSystem) Start() {
 			}
 			sampleOff := time.Duration(h.index*37) % cfg.SampleEvery
 			s.After(sampleOff, func() { s.Every(cfg.SampleEvery, h.sample) })
-			hbOff := time.Duration(h.index*53) % cfg.HeartbeatEvery
+			hbOff := time.Duration(h.index*53) % fleetHeartbeatPeriod
 			seq := uint64(0)
 			s.After(hbOff, func() {
-				s.Every(cfg.HeartbeatEvery, func() { seq++; h.heartbeat(seq) })
+				s.Every(fleetHeartbeatPeriod, func() { seq++; h.heartbeat(seq) })
 			})
 		})
 	}

@@ -51,6 +51,17 @@ const (
 	DomainAddr   = "/mgmt/QoSDomainManager"
 )
 
+// Fixed parameters of the canned scenarios.
+const (
+	// userRole is the role under which the client registers.
+	userRole = "viewer"
+	// heartbeatPeriod paces coordinator heartbeats under fault injection.
+	heartbeatPeriod = time.Second
+	// livenessTimeout is how long a manager tolerates silence from a
+	// managed process or a queried peer under fault injection.
+	livenessTimeout = 3500 * time.Millisecond
+)
+
 // Config parameterizes a scenario.
 type Config struct {
 	// Seed drives all randomness (default 1).
@@ -67,12 +78,8 @@ type Config struct {
 	// the application runs under normal scheduling, unobserved — the
 	// paper's baseline.
 	Managed bool
-	// UserRole is the role under which the client registers.
-	UserRole string
 	// PolicySrc overrides the QoS policy (default Example1Policy).
 	PolicySrc string
-	// NotifyInterval paces coordinator violation reports (default 500ms).
-	NotifyInterval time.Duration
 	// RTLoad, when positive, runs a real-time-class process consuming
 	// this fraction of the client CPU — load the CPU manager cannot
 	// preempt with time-sharing priorities (overload experiments).
@@ -88,11 +95,6 @@ type Config struct {
 	// BackupRoute adds a second network path and arms the domain
 	// manager's network-fault hook to reroute onto it.
 	BackupRoute bool
-	// NoTracePropagation keeps trace contexts off the wire: messages
-	// carry no trace envelope field and downstream spans lose their
-	// causal parents, exactly as before cross-process tracing existed.
-	// Local span recording is unaffected.
-	NoTracePropagation bool
 	// Faults, when non-nil, wraps the management bus in a fault-
 	// injecting transport driven by this plan, and arms the resilience
 	// machinery the faults exercise: manager liveness tracking with
@@ -100,40 +102,16 @@ type Config struct {
 	// injection and all of its wiring are fully absent when nil, so
 	// fault-free runs (and their determinism goldens) are unchanged.
 	Faults *faults.Plan
-	// HeartbeatInterval paces coordinator heartbeats in fault mode
-	// (default 1s).
-	HeartbeatInterval time.Duration
-	// LivenessTimeout is how long a manager tolerates silence from a
-	// managed process or a queried peer in fault mode (default 3.5s).
-	LivenessTimeout time.Duration
-	// Observe arms the compliance subsystem: a flight recorder samples
-	// the registry on the virtual clock and a loop miner feeds the
-	// loop.* stage histograms. Off by default — the miner registers new
-	// metric names and sampling schedules extra events, either of which
-	// would perturb the pre-existing determinism goldens.
+	// Observe arms the scenario's observability: a flight recorder
+	// samples the registry every second of virtual time, a loop miner
+	// feeds the loop.* stage histograms, and a bounded structured event
+	// log records manager decisions (host eviction, episode retry and
+	// timeout, re-adoption), agent cache anomalies, rollout decisions and
+	// fault injections, trace-correlated with the violation traces. None
+	// of it changes what the system under test does: with the loop.*
+	// lines dropped, the telemetry snapshot is byte-identical to an
+	// unobserved run's.
 	Observe bool
-	// SampleEvery paces flight-recorder sampling under Observe
-	// (default 1s).
-	SampleEvery time.Duration
-	// FlightCapacity bounds retained samples per series under Observe
-	// (default telemetry.DefaultTimelineCapacity).
-	FlightCapacity int
-	// EventLog arms the structured event log: manager decisions (host
-	// eviction, episode retry/timeout, re-adoption), agent cache
-	// anomalies, rollout decisions and fault injections are recorded in
-	// a bounded in-memory ring on the virtual clock, trace-correlated
-	// with the violation traces. Off by default — disabled, every record
-	// site is a nil-receiver no-op and runs (and their determinism
-	// goldens) are byte-identical to a build without the log.
-	EventLog bool
-	// LogCapacity bounds retained records under EventLog (default
-	// eventlog.DefaultCapacity); oldest records are evicted and counted.
-	LogCapacity int
-	// LogEvery keeps 1-in-LogEvery sub-warning records per (component,
-	// code) under EventLog, seeded from Seed so sampling is
-	// deterministic. 0 or 1 keeps everything; Warn and Error always
-	// pass.
-	LogEvery int
 	// PolicyChurn, when non-nil, arms live policy distribution: a
 	// repository hub notifies the domain manager of policy deltas, the
 	// domain manager relays them to the policy agent, the agent folds
@@ -162,9 +140,6 @@ type ChurnConfig struct {
 	// canary cohort violates it immediately, so the bake decision must
 	// roll it back). 0 = never.
 	BadEvery int
-	// CanaryFraction is the rollout cohort fraction (default 0.2 — one
-	// host in the two-host scenario, always the client host).
-	CanaryFraction float64
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
@@ -187,17 +162,8 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.NotifyInterval <= 0 {
-		c.NotifyInterval = 500 * time.Millisecond
-	}
 	if c.PolicySrc == "" {
 		c.PolicySrc = Example1Policy
-	}
-	if c.UserRole == "" {
-		c.UserRole = "viewer"
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = time.Second
 	}
 	return c
 }
@@ -237,16 +203,15 @@ type System struct {
 	Metrics *telemetry.Registry
 	Tracer  *telemetry.Tracer
 
-	// Flight and Miner exist only under Cfg.Observe: the flight
-	// recorder's retained history and the loop-stage miner.
+	// Flight, Miner and Log exist only under Cfg.Observe: the flight
+	// recorder's retained history, the loop-stage miner and the
+	// structured event log.
 	Flight *telemetry.Timeline
 	Miner  *telemetry.LoopMiner
+	Log    *eventlog.Logger
 
 	// Faults is the fault-injecting transport when Cfg.Faults is set.
 	Faults *faults.Transport
-
-	// Log is the structured event log, present only under Cfg.EventLog.
-	Log *eventlog.Logger
 
 	// Hub and Rollout exist only under Cfg.PolicyChurn: the repository's
 	// watch/notify hub and the canary rollout controller.
@@ -314,7 +279,7 @@ func Build(cfg Config) *System {
 		"buffer_sensor": {"buffer_size"},
 	}))
 	mustNil(sys.Svc.DefineExecutable("mpeg_serve", map[string][]string{}))
-	mustNil(sys.Svc.DefineRole(cfg.UserRole))
+	mustNil(sys.Svc.DefineRole(userRole))
 	mustNil(sys.Admin.AddPolicy(cfg.PolicySrc, repository.PolicyMeta{
 		Application: "VideoApplication", Executable: "mpeg_play"}))
 
@@ -356,9 +321,9 @@ func Build(cfg Config) *System {
 	stream := sys.Client.Config()
 
 	serverID := msg.Identity{Host: "server-host", PID: sys.Server.Proc.PID(),
-		Executable: "mpeg_serve", Application: "VideoApplication", UserRole: cfg.UserRole}
+		Executable: "mpeg_serve", Application: "VideoApplication", UserRole: userRole}
 	clientID := msg.Identity{Host: "client-host", PID: sys.Client.Proc.PID(),
-		Executable: "mpeg_play", Application: "VideoApplication", UserRole: cfg.UserRole}
+		Executable: "mpeg_play", Application: "VideoApplication", UserRole: userRole}
 	sys.ServerHM.Track(sys.Server.Proc, serverID)
 	sys.ClientHM.Track(sys.Client.Proc, clientID)
 
@@ -396,10 +361,6 @@ func Build(cfg Config) *System {
 
 	sys.Coord = instrument.NewCoordinator(clientID, clock, send, AgentAddr, ClientHMAddr)
 	sys.Coord.SetTelemetry(sys.Metrics, sys.Tracer)
-	if cfg.NoTracePropagation {
-		sys.Coord.SetTracePropagation(false)
-	}
-	sys.Coord.SetNotifyInterval(cfg.NotifyInterval)
 	if cfg.PredictionHorizon > 0 {
 		sys.Coord.SetPredictionHorizon(cfg.PredictionHorizon)
 	}
@@ -461,22 +422,14 @@ func Build(cfg Config) *System {
 	// Resilience wiring, armed only under fault injection so fault-free
 	// simulations schedule exactly the same events as before.
 	if cfg.Faults != nil {
-		hbEvery := cfg.HeartbeatInterval
-		if hbEvery <= 0 {
-			hbEvery = time.Second
-		}
-		lto := cfg.LivenessTimeout
-		if lto <= 0 {
-			lto = 3500 * time.Millisecond
-		}
 		clk := sys.Metrics.Clock()
 		// Liveness tracking runs where agents actually heartbeat: the
 		// client host manager (fed by the client coordinator) and the
 		// domain manager's episode timeouts. The server host manager has
 		// no heartbeating agent in this scenario, so its tracking would
 		// only produce false evictions.
-		sys.ClientHM.EnableLiveness(clk, lto)
-		sys.DM.EnableLiveness(clk, lto)
+		sys.ClientHM.EnableLiveness(clk, livenessTimeout)
+		sys.DM.EnableLiveness(clk, livenessTimeout)
 		// Self-healing re-adoption: a manager that evicted (or lost) a
 		// process re-tracks it from the next heartbeat or violation.
 		sys.ClientHM.OnUnknownProc = func(id msg.Identity) (runtime.ProcHandle, bool) {
@@ -491,15 +444,15 @@ func Build(cfg Config) *System {
 			}
 			return nil, false
 		}
-		s.Every(lto/2, func() {
+		s.Every(livenessTimeout/2, func() {
 			sys.ClientHM.CheckLiveness()
 			sys.DM.CheckLiveness()
 		})
 		if cfg.Managed {
-			s.Every(hbEvery, func() { _ = sys.Coord.Heartbeat() })
+			s.Every(heartbeatPeriod, func() { _ = sys.Coord.Heartbeat() })
 			// Re-register until a PolicySet lands (registration or its
 			// reply may have been lost to a fault).
-			s.Every(2*hbEvery, func() {
+			s.Every(2*heartbeatPeriod, func() {
 				if !sys.Coord.Registered() {
 					_ = sys.Coord.Register()
 				}
@@ -519,8 +472,7 @@ func Build(cfg Config) *System {
 		sys.Hub.Subscribe(DomainAddr)
 		sys.DM.SetPolicyAgents(AgentAddr)
 		sys.Agent.SetTelemetry(sys.Metrics)
-		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{
-			CanaryFraction: churn.CanaryFraction, Bake: churn.Bake})
+		ctl := repository.NewController(sys.Hub, sys.Svc, repository.RolloutConfig{Bake: churn.Bake})
 		ctl.SetClock(func() time.Duration { return s.Now().Duration() },
 			func(d time.Duration, fn func()) { s.After(d, fn) })
 		ctl.SetComplianceSource(func() []telemetry.PolicyCompliance {
@@ -566,15 +518,12 @@ func Build(cfg Config) *System {
 		loadgen.Offered(sys.ServerHost, cfg.ServerLoad)
 	}
 
-	// The structured event log, fully absent unless requested: disabled,
-	// every record site in the components below is a nil-receiver no-op,
-	// so log-free runs (and their determinism goldens) are unchanged.
-	if cfg.EventLog {
-		sys.Log = eventlog.New(sys.Metrics.Clock(), cfg.LogCapacity)
+	// Observability, fully absent unless requested: unobserved, every
+	// event-log record site is a nil-receiver no-op and no sampling
+	// events are scheduled.
+	if cfg.Observe {
+		sys.Log = eventlog.New(sys.Metrics.Clock(), 0)
 		sys.Log.SetMetrics(sys.Metrics)
-		if cfg.LogEvery > 1 {
-			sys.Log.SetSampling(cfg.LogEvery, cfg.Seed)
-		}
 		sys.DM.SetEventLog(sys.Log)
 		sys.ClientHM.SetEventLog(sys.Log)
 		sys.ServerHM.SetEventLog(sys.Log)
@@ -588,14 +537,9 @@ func Build(cfg Config) *System {
 		if sys.Rollout != nil {
 			sys.Rollout.SetEventLog(sys.Log)
 		}
-	}
-
-	// Compliance observability, fully absent unless requested so that
-	// fault-free goldens see the same metric names and event schedule.
-	if cfg.Observe {
-		sys.Flight = telemetry.NewTimeline(sys.Metrics, cfg.FlightCapacity)
+		sys.Flight = telemetry.NewTimeline(sys.Metrics, 0)
 		sys.Miner = telemetry.NewLoopMiner(sys.Metrics)
-		s.Every(cfg.SampleEvery, func() {
+		s.Every(time.Second, func() {
 			sys.Miner.Mine(sys.Tracer.Traces())
 			sys.Flight.Sample()
 		})

@@ -31,17 +31,6 @@ func NewEventLogger(clock telemetry.Clock, capacity int) *EventLogger {
 // NewLiveCoordinatorFaults or qosd's -faults flag.
 type FaultPlan = faults.Plan
 
-// LoadFaultPlan reads a JSON fault plan from a file.
-func LoadFaultPlan(path string) (*FaultPlan, error) { return faults.Load(path) }
-
-// RandomFaultPlan builds a seeded randomized chaos schedule: message
-// drops, delays, duplicates and reorders at the given rate, plus a
-// sever window, a manager crash window, and a partition window spread
-// over the horizon.
-func RandomFaultPlan(seed int64, rate float64, horizon time.Duration) *FaultPlan {
-	return faults.RandomPlan(seed, rate, horizon)
-}
-
 // Live mode runs the same management stack as the simulator — the
 // coordinator, policy agent, host and domain managers of internal/* —
 // under the wall clock with the TCP management transport
@@ -57,10 +46,6 @@ const (
 	LiveHostManagerAddr   = "/live/QoSHostManager"
 	LiveDomainManagerAddr = "/live/QoSDomainManager"
 )
-
-// Directive is a corrective action message (re-exported from the
-// management protocol).
-type Directive = msg.Directive
 
 // Violation is a policy-violation report (re-exported from the
 // management protocol).
@@ -198,9 +183,6 @@ type LiveCoordinator struct {
 	faults  *faults.Transport // nil unless built with a fault plan
 	start   time.Time
 	regDone chan error
-
-	mu          sync.Mutex
-	onDirective func(Directive)
 }
 
 // NewLiveCoordinator creates a live coordinator for the identified
@@ -309,15 +291,9 @@ func (lc *LiveCoordinator) Route(mgmtAddr, tcpAddr string) { lc.nt.Route(mgmtAdd
 // (Tick/Set/Flush) inside Sync so the coordinator stays single-threaded.
 func (lc *LiveCoordinator) Sync(fn func()) { lc.nt.Sync(fn) }
 
-// SetOnDirective installs a hook for directives other than "actuate"
-// (which is handled by the coordinator's actuator registry).
-func (lc *LiveCoordinator) SetOnDirective(fn func(Directive)) {
-	lc.mu.Lock()
-	lc.onDirective = fn
-	lc.mu.Unlock()
-}
-
-// handle processes inbound management messages on the dispatcher.
+// handle processes inbound management messages on the dispatcher:
+// registration replies complete Register, and actuate directives run
+// through the coordinator's actuator registry.
 func (lc *LiveCoordinator) handle(m msg.Message) {
 	switch b := m.Body.(type) {
 	case *msg.PolicySet, *msg.Nack:
@@ -329,13 +305,6 @@ func (lc *LiveCoordinator) handle(m msg.Message) {
 	case *msg.Directive:
 		if b.Action == "actuate" {
 			_ = lc.Coordinator.HandleMessage(m)
-			return
-		}
-		lc.mu.Lock()
-		hook := lc.onDirective
-		lc.mu.Unlock()
-		if hook != nil {
-			hook(*b)
 		}
 	}
 }
